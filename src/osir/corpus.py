@@ -10,10 +10,11 @@ from __future__ import annotations
 import datetime as _dt
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .text import token_spans, whitespace_token_count
+from .text import normalize_text, token_spans, whitespace_token_count
 
 TRUNCATION_MARKER = "[TRUNCATED]"
 DEFAULT_TOKEN_BUDGET = 25_000
@@ -81,6 +82,12 @@ class Article:
                     f"article {self.id!r}: published is not an ISO-8601 date: "
                     f"{self.published!r}"
                 ) from exc
+
+    @cached_property
+    def normalized_body(self) -> str:
+        """normalize_text(body), computed once per Article object, so that
+        grounding all of an article's completions normalizes its body once."""
+        return normalize_text(self.body)
 
 
 @dataclass(frozen=True)

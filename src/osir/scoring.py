@@ -64,6 +64,11 @@ def match_sets(
     scored: list[tuple[float, int, int]] = []
     for i, p in enumerate(pred_norm):
         for j, g in enumerate(gold_norm):
+            # levenshtein >= the length gap, so this bounds the similarity
+            # from above; pairs below the threshold on it are never kept.
+            longer = max(len(p), len(g))
+            if longer and 1.0 - abs(len(p) - len(g)) / longer < threshold:
+                continue
             sim = similarity(p, g)
             if sim >= threshold:
                 scored.append((sim, i, j))

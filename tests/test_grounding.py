@@ -8,6 +8,7 @@ import pytest
 from osir.extraction import GoldAnnotation
 from osir.grounding import (
     Thresholds,
+    _best_window,
     embellishment_reward,
     filter_gold,
     fuzzy_contains,
@@ -15,7 +16,53 @@ from osir.grounding import (
 )
 
 from conftest import make_article, make_record
-from oracles import oracle_windowed_score
+from oracles import oracle_normalize, oracle_windowed_score
+
+DECISION_THRESHOLDS = (0.5, 0.7, 0.9, 0.95, 1.0)
+
+
+def _perturb(rng: random.Random, s: str, alphabet: str, edits: int) -> str:
+    chars = list(s)
+    for _ in range(edits):
+        pos = rng.randint(0, len(chars))
+        op = rng.randrange(3)
+        if op == 0:
+            chars.insert(pos, rng.choice(alphabet))
+        elif pos < len(chars) and len(chars) > 1:
+            if op == 1:
+                del chars[pos]
+            else:
+                chars[pos] = rng.choice(alphabet)
+    return "".join(chars)
+
+
+def _decision_cases(seed: int, count: int):
+    """(article, candidate) pairs over small alphabets, so candidate pieces
+    occur many times; near copies sit at the article's start, its end or
+    anywhere, and some candidates are longer than the article."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        alphabet = rng.choice(("ab", "abc ", "abcd"))
+        length = rng.choice((1, 2, rng.randint(3, 12)))
+        cand = "".join(rng.choice(alphabet) for _ in range(length))
+        rest = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 45)))
+        near = _perturb(rng, cand, alphabet, rng.randint(0, 3))
+        if rng.random() < 0.3:
+            # a character the article never has: no exact hit, and at one or
+            # two characters the pigeonhole filter cannot apply (k + 1 > L)
+            cand = cand[:-1] + "z"
+        place = rng.randrange(4)
+        if place == 0:
+            art = near + rest
+        elif place == 1:
+            art = rest + near
+        elif place == 2:
+            cut = rng.randint(0, len(rest))
+            art = rest[:cut] + near + rest[cut:]
+        else:
+            art = rest[:rng.randint(0, max(0, length - 2))]  # often n < lo
+        if oracle_normalize(cand) and oracle_normalize(art):
+            yield art, cand
 
 
 class TestNormalizeText:
@@ -95,6 +142,37 @@ class TestFuzzyContains:
 
 
 class TestEmbellishmentReward:
+    def test_decision_equals_oracle(self):
+        """The reward path decides exactly as the full window enumeration;
+        a match carries the full search's (score, span), a miss a score
+        below the threshold and no higher than the true best."""
+        for art, cand in _decision_cases(2024, 400):
+            expected = oracle_windowed_score(art, cand)
+            full = _best_window(normalize_text(art), normalize_text(cand))
+            article = make_article("A1", art)
+            record = make_record(new_data_accessions=(cand,))
+            for t in DECISION_THRESHOLDS:
+                report = embellishment_reward(
+                    article, record, Thresholds(identifier=t, citation=t))
+                (result,) = report.matches["new_data_accessions"]
+                assert result.matched == (expected >= t), (art, cand, t)
+                if result.matched:
+                    assert (result.score, result.span) == full, (art, cand, t)
+                else:
+                    assert result.score < t and result.score <= expected
+
+    @pytest.mark.parametrize("body", ["zz abcdexfghi zz", "zz abxcdefghi zz"])
+    def test_one_insertion_scores_exactly_the_threshold(self, body):
+        # 1 - 9/10 = 0.9 reaches the citation threshold, but (1 - 0.9) * 10
+        # rounds to just below 1 edit. In the second body the unedited piece
+        # sits one character right of its offset in the candidate.
+        record = make_record(new_data_citations=("abcdefghi",))
+        report = embellishment_reward(make_article("A1", body), record)
+        (result,) = report.matches["new_data_citations"]
+        assert result.matched
+        assert result.score == 0.9
+        assert result.span == (3, 13)
+
     def test_no_evidence_vacuous(self):
         art = make_article("A1", "some body")
         report = embellishment_reward(art, make_record())

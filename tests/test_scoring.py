@@ -1,5 +1,6 @@
 """Set matching, field F1, accuracy reward, and the composite reward."""
 
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,8 @@ from osir.scoring import (
 )
 
 from conftest import completion_text, make_article, make_record
-from oracles import oracle_f1, oracle_optimal_tp
+from oracles import (oracle_f1, oracle_normalize, oracle_optimal_tp,
+                     oracle_similarity)
 
 
 class TestMatchSets:
@@ -60,6 +62,31 @@ class TestMatchSets:
             assert m.tp <= oracle_optimal_tp(predicted, gold, 0.9)
             assert m.fp == len(predicted) - m.tp
             assert m.fn == len(gold) - m.tp
+
+    def test_pairs_equal_greedy_over_every_pair(self):
+        """Pairs skipped for their length gap are never ones greedy keeps."""
+        rng = random.Random(12)
+        for _ in range(150):
+            threshold = rng.choice((0.5, 0.8, 0.9, 0.95))
+            strings = ["".join(rng.choice("abc")
+                               for _ in range(rng.randint(0, 12)))
+                       for _ in range(rng.randint(0, 8))]
+            predicted, gold = strings[::2], strings[1::2]
+            scored = []
+            for (i, p), (j, g) in itertools.product(enumerate(predicted),
+                                                    enumerate(gold)):
+                sim = oracle_similarity(oracle_normalize(p),
+                                        oracle_normalize(g))
+                if sim >= threshold:
+                    scored.append((-sim, i, j))
+            expected, used_pred, used_gold = [], set(), set()
+            for neg_sim, i, j in sorted(scored):
+                if i not in used_pred and j not in used_gold:
+                    used_pred.add(i)
+                    used_gold.add(j)
+                    expected.append((predicted[i], gold[j], -neg_sim))
+            m = match_sets(predicted, gold, threshold)
+            assert m.pairs == tuple(expected)
 
 
 class TestFieldF1:
