@@ -9,7 +9,6 @@ bit-reproducible runs.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import time
@@ -19,7 +18,7 @@ from pathlib import Path
 import requests
 
 from .corpus import PreparedPrompt
-from .extraction import RawCompletion
+from .extraction import RawCompletion, read_completions
 
 log = logging.getLogger(__name__)
 
@@ -66,25 +65,8 @@ class ReplayBackend:
     """Serves pre-recorded completions; fails loudly on a missing key."""
 
     def __init__(self, fixture_path: str | Path):
-        self._fixtures: dict[tuple[str, int], str] = {}
-        path = Path(fixture_path)
-        if not path.exists():
-            raise ReplayFixtureError(f"replay fixture not found: {path}")
-        with path.open(encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    payload = json.loads(line)
-                    key = (payload["article_id"], int(payload["sample_index"]))
-                    text = payload["text"]
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise ReplayFixtureError(
-                        f"fixture line {line_no}: {exc}") from exc
-                if key in self._fixtures:
-                    raise ReplayFixtureError(
-                        f"fixture line {line_no}: duplicate key {key}")
-                self._fixtures[key] = text
+        self._fixtures = read_completions(fixture_path, ReplayFixtureError,
+                                          "replay fixture")
 
     def complete(self, prompt: PreparedPrompt, n: int) -> list[RawCompletion]:
         out: list[RawCompletion] = []
@@ -94,7 +76,7 @@ class ReplayBackend:
                 raise ReplayFixtureError(
                     f"no fixture completion for article {key[0]!r} "
                     f"sample {key[1]}")
-            out.append(RawCompletion(prompt.article_id, i, self._fixtures[key]))
+            out.append(self._fixtures[key])
         return out
 
 

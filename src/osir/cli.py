@@ -1,24 +1,25 @@
 """Command-line interface: every pipeline stage as a subcommand.
 
-Configuration precedence: defaults < --config file < OSIR_* environment
-variables < explicit flags.
+Each subcommand parses its options, calls the stage functions of
+osir.pipeline and reports any failure as a ClickException. Options named
+after a PipelineConfig field are passed on to load_config. Configuration
+precedence: defaults < --config file < OSIR_* environment variables <
+explicit flags.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
 
-from .backend import make_backend
-from .config import ConfigError, PipelineConfig, load_config
-from .corpus import build_prompt, load_corpus
+from .config import load_config
+from .corpus import load_corpus
 from .evaluation import (
     FlagRules,
-    SampleSet,
     build_sample_sets,
     build_eval_report,
     flag_disagreements,
@@ -30,28 +31,32 @@ from .extraction import (
     load_completions,
     load_gold,
     load_records,
-    parse_extraction,
     save_completions,
     save_gold,
-    save_records,
 )
 from .grounding import filter_gold
-from .indicators import (
-    accession_stats,
-    aggregate_by,
-    resolve_verdict,
-    save_indicator_rows,
-    save_summary,
-    trace_coverage,
+from .jsonl import write_jsonl
+from .pipeline import (
+    aggregate_stage,
+    complete_stage,
+    manifest_to_payload,
+    parse_stage,
+    prompt_stage,
+    run_pipeline,
+    save_parsed,
+    score_stage,
+    verdict_stage,
 )
-from .pipeline import PipelineError, manifest_to_payload, run_pipeline
-from .scoring import total_reward
 
 
-def _config(config_path: str | None, **overrides) -> PipelineConfig:
+@contextmanager
+def _user_errors():
+    """Report any failure inside the block as a ClickException."""
     try:
-        return load_config(config_path, **overrides)
-    except ConfigError as exc:
+        yield
+    except click.ClickException:
+        raise
+    except Exception as exc:
         raise click.ClickException(str(exc)) from exc
 
 
@@ -67,10 +72,8 @@ def main() -> None:
               help="Exit non-zero on any malformed article.")
 def ingest(corpus_path: str, validate: bool) -> None:
     """Load a corpus file and report its composition."""
-    try:
+    with _user_errors():
         articles = load_corpus(corpus_path)
-    except Exception as exc:
-        raise click.ClickException(str(exc)) from exc
     by_discipline = Counter(a.discipline for a in articles)
     click.echo(f"{len(articles)} articles")
     for discipline, count in sorted(by_discipline.items()):
@@ -95,33 +98,16 @@ def ingest(corpus_path: str, validate: bool) -> None:
 @click.option("--records", "records_path", type=click.Path(), default=None,
               help="Also write parsed records here (JSONL).")
 @click.option("--config", "config_path", type=click.Path(), default=None)
-def extract(corpus_path: str, backend_mode: str | None,
-            fixture_path: str | None, endpoint: str | None,
-            samples_per_article: int | None, token_budget: int | None,
-            out_path: str, records_path: str | None,
-            config_path: str | None) -> None:
+def extract(corpus_path: str, out_path: str, records_path: str | None,
+            config_path: str | None, **overrides) -> None:
     """Prompt the backend for every article and store raw completions."""
-    config = _config(config_path, backend_mode=backend_mode,
-                     fixture_path=fixture_path, endpoint=endpoint,
-                     samples_per_article=samples_per_article,
-                     token_budget=token_budget)
-    try:
-        articles = load_corpus(corpus_path)
-        backend = make_backend(config.backend())
-        completions = []
-        for article in articles:
-            prompt = build_prompt(article, config.token_budget)
-            completions.extend(backend.complete(prompt,
-                                                config.samples_per_article))
-        completions.sort(key=lambda c: (c.article_id, c.sample_index))
+    with _user_errors():
+        config = load_config(config_path, **overrides)
+        prompts = prompt_stage(load_corpus(corpus_path), config)
+        completions = complete_stage(prompts, config)
         save_completions(completions, out_path)
         if records_path is not None:
-            parsed = [(c.article_id, c.sample_index, o.record)
-                      for c in completions
-                      if (o := parse_extraction(c)).parsed]
-            save_records(parsed, records_path)
-    except Exception as exc:
-        raise click.ClickException(str(exc)) from exc
+            save_parsed(parse_stage(completions), records_path)
     click.echo(f"{len(completions)} completions -> {out_path}")
 
 
@@ -139,46 +125,22 @@ def extract(corpus_path: str, backend_mode: str | None,
               help="Emit only completions whose reward clears --min-reward.")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 def score(corpus_path: str, completions_path: str, gold_path: str,
-          out_path: str, embellishment_mode: str | None,
-          min_reward: float | None, select: bool,
-          config_path: str | None) -> None:
+          out_path: str, min_reward: float | None, select: bool,
+          config_path: str | None, **overrides) -> None:
     """Score completions against gold: f, e, v and the composite reward."""
-    config = _config(config_path, embellishment_mode=embellishment_mode)
     if select and min_reward is None:
         raise click.ClickException("--select requires --min-reward")
-    try:
+    with _user_errors():
+        config = load_config(config_path, **overrides)
         articles = {a.id: a for a in load_corpus(corpus_path)}
-        completions = load_completions(completions_path)
+        completions = sorted(load_completions(completions_path),
+                             key=lambda c: (c.article_id, c.sample_index))
         gold = {g.article_id: g for g in load_gold(gold_path)}
-        written = 0
-        with Path(out_path).open("w", encoding="utf-8") as fh:
-            for c in sorted(completions,
-                            key=lambda c: (c.article_id, c.sample_index)):
-                if c.article_id not in articles:
-                    raise click.ClickException(
-                        f"completion references unknown article {c.article_id!r}")
-                if c.article_id not in gold:
-                    raise click.ClickException(
-                        f"no gold annotation for article {c.article_id!r}")
-                breakdown = total_reward(
-                    articles[c.article_id], c, gold[c.article_id],
-                    config.thresholds(), config.embellishment_mode)
-                if select and breakdown.r < min_reward:
-                    continue
-                fh.write(json.dumps({
-                    "article_id": c.article_id,
-                    "sample_index": c.sample_index,
-                    "f": breakdown.f, "e": breakdown.e,
-                    "v": breakdown.v, "r": breakdown.r,
-                    "sub_scores": breakdown.sub_scores,
-                }, sort_keys=True, ensure_ascii=False))
-                fh.write("\n")
-                written += 1
-    except click.ClickException:
-        raise
-    except Exception as exc:
-        raise click.ClickException(str(exc)) from exc
-    click.echo(f"{written} reward rows -> {out_path}")
+        rows = score_stage(parse_stage(completions), articles, gold, config)
+        if select:
+            rows = [row for row in rows if row["r"] >= min_reward]
+        write_jsonl(out_path, rows)
+    click.echo(f"{len(rows)} reward rows -> {out_path}")
 
 
 @main.command(name="eval")
@@ -192,27 +154,21 @@ def score(corpus_path: str, completions_path: str, gold_path: str,
 @click.option("--flag-floor", "f1_floor", type=float, default=None,
               help="Best-sample F1 floor below which articles get flagged.")
 @click.option("--out", "out_path", required=True, type=click.Path())
-def eval_command(completions_path: str, gold_path: str,
-                 samples_per_article: int | None, pass1_mode: str | None,
-                 f1_floor: float | None, out_path: str) -> None:
+def eval_command(completions_path: str, gold_path: str, out_path: str,
+                 **overrides) -> None:
     """Evaluate completions against gold and print the metrics table."""
-    config = _config(None, pass1_mode=pass1_mode,
-                     samples_per_article=samples_per_article,
-                     f1_floor=f1_floor)
-    try:
+    with _user_errors():
+        config = load_config(None, **overrides)
         completions = load_completions(completions_path)
         gold = load_gold(gold_path)
-        samples = build_sample_sets(
-            completions,
-            samples_per_article if samples_per_article is not None else None)
+        samples = build_sample_sets(completions,
+                                    overrides["samples_per_article"])
         report = build_eval_report(samples, gold, config.pass1_mode,
                                    config.thresholds())
         flagged = flag_disagreements(samples, gold,
                                      FlagRules(f1_floor=config.f1_floor),
                                      config.thresholds())
         save_report(report, out_path)
-    except Exception as exc:
-        raise click.ClickException(str(exc)) from exc
     click.echo(render_report_table(report))
     click.echo(f"\n{len(flagged)} articles flagged for review")
     for f in flagged:
@@ -229,8 +185,8 @@ def eval_command(completions_path: str, gold_path: str,
 def filter_gold_command(corpus_path: str, gold_path: str, kept_path: str,
                         removed_path: str, config_path: str | None) -> None:
     """Drop gold annotations whose evidence is absent from the article text."""
-    config = _config(config_path)
-    try:
+    with _user_errors():
+        config = load_config(config_path)
         corpus = load_corpus(corpus_path)
         annotations = load_gold(gold_path)
         kept, removed = filter_gold(corpus, annotations, config.thresholds())
@@ -243,8 +199,6 @@ def filter_gold_command(corpus_path: str, gold_path: str, kept_path: str,
                 for d in r.diagnostics:
                     writer.writerow([d.article_id, d.field, d.string,
                                      f"{d.best_score:.6f}", d.threshold])
-    except Exception as exc:
-        raise click.ClickException(str(exc)) from exc
     click.echo(f"kept {len(kept)} -> {kept_path}")
     click.echo(f"removed {len(removed)} -> {removed_path}")
 
@@ -257,42 +211,24 @@ def filter_gold_command(corpus_path: str, gold_path: str, kept_path: str,
               default=None)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--config", "config_path", type=click.Path(), default=None)
-def aggregate(records_path: str, corpus_path: str, group_by: str | None,
-              out_dir: str, config_path: str | None) -> None:
+def aggregate(records_path: str, corpus_path: str, out_dir: str,
+              config_path: str | None, **overrides) -> None:
     """Resolve verdicts from parsed records and emit indicator tables.
 
     Corpus articles with no parsed record at all become unresolved verdicts
     (counted under "neither").
     """
-    config = _config(config_path, group_by=group_by)
-    try:
+    with _user_errors():
+        config = load_config(config_path, **overrides)
         articles = {a.id: a for a in load_corpus(corpus_path)}
-        records = load_records(records_path)
-        by_article: dict[str, dict[int, ParseOutcome]] = {}
-        for article_id, sample_index, record in records:
-            if article_id not in articles:
-                raise click.ClickException(
-                    f"record references unknown article {article_id!r}")
-            by_article.setdefault(article_id, {})[sample_index] = ParseOutcome(
-                status="parsed", record=record)
-        unparsed = (ParseOutcome(status="format_failure",
-                                 failure_reason="no parsed samples"),)
-        verdicts = []
-        for article_id in sorted(articles):
-            indexed = by_article.get(article_id, {})
-            outcomes = tuple(indexed[i] for i in sorted(indexed)) or unparsed
-            verdicts.append(resolve_verdict(
-                SampleSet(article_id=article_id, outcomes=outcomes)))
-        rows = aggregate_by(verdicts, config.group_by, articles)
+        parsed = [(article_id, sample_index,
+                   ParseOutcome(status="parsed", record=record))
+                  for article_id, sample_index, record
+                  in load_records(records_path)]
+        verdicts = verdict_stage(parsed, articles)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        save_indicator_rows(rows, out / "indicators.csv")
-        save_summary(trace_coverage(verdicts), accession_stats(verdicts),
-                     out / "summary.json")
-    except click.ClickException:
-        raise
-    except Exception as exc:
-        raise click.ClickException(str(exc)) from exc
+        rows = aggregate_stage(verdicts, articles, config, out)
     for row in rows:
         click.echo(f"{row.group}: {row.publications} publications, "
                    f"{row.generated_pct}% generated, {row.reused_pct}% reused, "
@@ -314,20 +250,11 @@ def aggregate(records_path: str, corpus_path: str, group_by: str | None,
               default=None)
 @click.option("--config", "config_path", type=click.Path(), default=None)
 def run(corpus_path: str, gold_path: str | None, out_dir: str,
-        backend_mode: str | None, fixture_path: str | None,
-        endpoint: str | None, samples_per_article: int | None,
-        group_by: str | None, config_path: str | None) -> None:
+        config_path: str | None, **overrides) -> None:
     """Run the full pipeline and write a digest manifest."""
-    config = _config(config_path, backend_mode=backend_mode,
-                     fixture_path=fixture_path, endpoint=endpoint,
-                     samples_per_article=samples_per_article,
-                     group_by=group_by)
-    try:
+    with _user_errors():
+        config = load_config(config_path, **overrides)
         manifest = run_pipeline(corpus_path, out_dir, config, gold_path)
-    except PipelineError as exc:
-        raise click.ClickException(str(exc)) from exc
-    except Exception as exc:
-        raise click.ClickException(str(exc)) from exc
     payload = manifest_to_payload(manifest)
     click.echo(f"{len(payload['stages'])} stages -> {out_dir}")
     for stage in payload["stages"]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .backend import BackendConfig
@@ -43,52 +43,15 @@ class PipelineConfig:
                           citation=self.threshold_citation)
 
     def backend(self) -> BackendConfig:
-        return BackendConfig(
-            mode=self.backend_mode,
-            endpoint=self.endpoint,
-            auth_token_env=self.auth_token_env,
-            fixture_path=self.fixture_path,
-            samples_per_article=self.samples_per_article,
-            max_in_flight=self.max_in_flight,
-            timeout=self.timeout,
-            max_attempts=self.max_attempts,
-            backoff_base=self.backoff_base,
-            decode_params=self.decode_params,
-        )
-
-    def to_payload(self) -> dict:
-        payload = {
-            "token_budget": self.token_budget,
-            "samples_per_article": self.samples_per_article,
-            "threshold_identifier": self.threshold_identifier,
-            "threshold_citation": self.threshold_citation,
-            "embellishment_mode": self.embellishment_mode,
-            "pass1_mode": self.pass1_mode,
-            "f1_floor": self.f1_floor,
-            "group_by": self.group_by,
-            "seed": self.seed,
-            "backend_mode": self.backend_mode,
-            "endpoint": self.endpoint,
-            "auth_token_env": self.auth_token_env,
-            "fixture_path": self.fixture_path,
-            "max_in_flight": self.max_in_flight,
-            "timeout": self.timeout,
-            "max_attempts": self.max_attempts,
-            "backoff_base": self.backoff_base,
-            "decode_params": self.decode_params,
-        }
-        return payload
+        """The backend settings: every BackendConfig field of the same name,
+        with backend_mode as its mode."""
+        shared = {f.name: getattr(self, f.name) for f in fields(BackendConfig)
+                  if f.name != "mode"}
+        return BackendConfig(mode=self.backend_mode, **shared)
 
 
-_INT_KEYS = {"token_budget", "samples_per_article", "max_in_flight",
-             "max_attempts", "seed"}
-_FLOAT_KEYS = {"threshold_identifier", "threshold_citation", "f1_floor",
-               "timeout", "backoff_base"}
-_STR_KEYS = {"embellishment_mode", "pass1_mode", "group_by", "backend_mode",
-             "endpoint", "auth_token_env", "fixture_path"}
-_DICT_KEYS = {"decode_params"}
-
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _DICT_KEYS
+#: Field name -> annotated type name ("int", "float", "str | None", ...).
+_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 
 
 class ConfigError(ValueError):
@@ -96,12 +59,13 @@ class ConfigError(ValueError):
 
 
 def _coerce(key: str, value) -> object:
+    kind = _FIELD_TYPES[key]
     try:
-        if key in _INT_KEYS:
+        if kind == "int":
             return int(value)
-        if key in _FLOAT_KEYS:
+        if kind == "float":
             return float(value)
-        if key in _DICT_KEYS:
+        if kind == "dict":
             if isinstance(value, str):
                 value = json.loads(value)
             if not isinstance(value, dict):
@@ -133,18 +97,18 @@ def load_config(path: str | Path | None = None,
         if not isinstance(payload, dict):
             raise ConfigError(f"config file {p}: expected a JSON object")
         for key, value in payload.items():
-            if key not in _ALL_KEYS:
+            if key not in _FIELD_TYPES:
                 raise ConfigError(f"config file {p}: unknown key {key!r}")
             values[key] = _coerce(key, value)
 
     env_map = os.environ if env is None else env
-    for key in _ALL_KEYS:
+    for key in _FIELD_TYPES:
         env_name = ENV_PREFIX + key.upper()
         if env_name in env_map:
             values[key] = _coerce(key, env_map[env_name])
 
     for key, value in overrides.items():
-        if key not in _ALL_KEYS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config override {key!r}")
         if value is not None:
             values[key] = _coerce(key, value)

@@ -8,12 +8,12 @@ A corpus is a UTF-8 line-delimited file, one JSON object per line with fields
 from __future__ import annotations
 
 import datetime as _dt
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable
 
+from .jsonl import iter_jsonl, write_jsonl
 from .text import normalize_text, token_spans, whitespace_token_count
 
 TRUNCATION_MARKER = "[TRUNCATED]"
@@ -117,8 +117,6 @@ def count_tokens(text: str, counter: TokenCounter = WHITESPACE_COUNTER) -> int:
 
 
 def _article_from_payload(payload: dict, line_no: int) -> Article:
-    if not isinstance(payload, dict):
-        raise CorpusError(f"line {line_no}: expected a JSON object")
     art_id = payload.get("id")
     body = payload.get("body_markdown")
     if not isinstance(art_id, str) or not art_id:
@@ -151,27 +149,17 @@ def load_corpus(path: str | Path) -> list[Article]:
     Raises CorpusError naming the offending line number for malformed lines,
     and both line numbers for duplicate article ids.
     """
-    path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"corpus file not found: {path}")
     articles: list[Article] = []
     seen: dict[str, int] = {}
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-            article = _article_from_payload(payload, line_no)
-            if article.id in seen:
-                raise CorpusError(
-                    f"duplicate article id {article.id!r} on lines "
-                    f"{seen[article.id]} and {line_no}"
-                )
-            seen[article.id] = line_no
-            articles.append(article)
+    for line_no, payload in iter_jsonl(path, CorpusError, "corpus file"):
+        article = _article_from_payload(payload, line_no)
+        if article.id in seen:
+            raise CorpusError(
+                f"duplicate article id {article.id!r} on lines "
+                f"{seen[article.id]} and {line_no}"
+            )
+        seen[article.id] = line_no
+        articles.append(article)
     return articles
 
 
@@ -190,11 +178,7 @@ def article_to_payload(article: Article) -> dict:
 
 def save_corpus(articles: Iterable[Article], path: str | Path) -> None:
     """Serialize articles back to the line-delimited corpus format."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for article in articles:
-            fh.write(json.dumps(article_to_payload(article), sort_keys=True,
-                                ensure_ascii=False))
-            fh.write("\n")
+    write_jsonl(path, map(article_to_payload, articles))
 
 
 def truncate_middle(

@@ -8,12 +8,13 @@ samples count as wrong (F1 zero): excluding them would flatter the model.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable, Iterable
 
 from .extraction import (
     BOOLEAN_FIELDS,
+    ExtractionRecord,
     GoldAnnotation,
     LIST_FIELDS,
     ParseOutcome,
@@ -21,6 +22,7 @@ from .extraction import (
     parse_extraction,
 )
 from .grounding import DEFAULT_THRESHOLDS, Thresholds
+from .jsonl import write_json
 from .scoring import field_f1, match_sets
 
 PASS1_MODES = ("mean", "first")
@@ -65,6 +67,18 @@ class EvaluationError(ValueError):
     pass
 
 
+def group_samples(
+    samples: Iterable[tuple[str, int, ParseOutcome]],
+) -> list[SampleSet]:
+    """(article_id, sample_index, outcome) triples as one SampleSet per
+    article, in article-id order, each with its outcomes by sample index."""
+    by_article: dict[str, dict[int, ParseOutcome]] = {}
+    for article_id, sample_index, outcome in samples:
+        by_article.setdefault(article_id, {})[sample_index] = outcome
+    return [SampleSet(article_id, tuple(o for _, o in sorted(indexed.items())))
+            for article_id, indexed in sorted(by_article.items())]
+
+
 def build_sample_sets(completions: list[RawCompletion],
                       samples_per_article: int | None = None) -> list[SampleSet]:
     """Group completions into per-article SampleSets, parsing each sample.
@@ -72,30 +86,23 @@ def build_sample_sets(completions: list[RawCompletion],
     Every article must carry the same sample count with contiguous indices
     0..k-1; pass samples_per_article to also pin k explicitly.
     """
-    by_article: dict[str, dict[int, RawCompletion]] = {}
+    indices: dict[str, set[int]] = {}
     for c in completions:
-        by_article.setdefault(c.article_id, {})[c.sample_index] = c
-    if not by_article:
-        return []
-    counts = {len(v) for v in by_article.values()}
-    if len(counts) != 1:
+        indices.setdefault(c.article_id, set()).add(c.sample_index)
+    counts = {len(v) for v in indices.values()}
+    if len(counts) > 1:
         raise EvaluationError(
             f"articles carry unequal sample counts: {sorted(counts)}")
-    k = counts.pop()
+    k = counts.pop() if counts else samples_per_article
     if samples_per_article is not None and k != samples_per_article:
         raise EvaluationError(
             f"expected {samples_per_article} samples per article, found {k}")
-    sets: list[SampleSet] = []
-    for article_id in sorted(by_article):
-        indexed = by_article[article_id]
-        if sorted(indexed) != list(range(k)):
+    for article_id in sorted(indices):
+        if indices[article_id] != set(range(k)):
             raise EvaluationError(
                 f"article {article_id!r}: sample indices are not 0..{k - 1}")
-        sets.append(SampleSet(
-            article_id=article_id,
-            outcomes=tuple(parse_extraction(indexed[i]) for i in range(k)),
-        ))
-    return sets
+    return group_samples((c.article_id, c.sample_index, parse_extraction(c))
+                         for c in completions)
 
 
 def _gold_map(gold: list[GoldAnnotation],
@@ -107,6 +114,47 @@ def _gold_map(gold: list[GoldAnnotation],
     return by_id
 
 
+def majority_vote(records: list[ExtractionRecord], field: str) -> bool:
+    """Whether more than half of *records* set the boolean *field*; an exact
+    tie, and no records, give False."""
+    return sum(1 for r in records if getattr(r, field)) * 2 > len(records)
+
+
+def _list_f1(field: str, threshold: float):
+    """Per-sample score of an evidence list: matching F1 against gold."""
+    return lambda record, want: field_f1(
+        match_sets(getattr(record, field), getattr(want, field), threshold))
+
+
+def _pass_metrics(
+    samples: list[SampleSet],
+    gold: list[GoldAnnotation],
+    pass1_mode: str,
+    score: Callable[[ExtractionRecord, ExtractionRecord], float],
+) -> FieldMetrics:
+    """pass@1 and pass@k of a per-sample score; unparsed samples score 0.
+
+    pass@1 averages the score over every (article, sample) pair ("mean"
+    mode) or over first samples only ("first" mode); pass@k averages each
+    article's best sample.
+    """
+    if pass1_mode not in PASS1_MODES:
+        raise ValueError(f"unknown pass@1 mode: {pass1_mode!r}")
+    if not samples:
+        raise EvaluationError("no samples")
+    by_id = _gold_map(gold, samples)
+    pass1: list[float] = []
+    best: list[float] = []
+    for s in samples:
+        want = by_id[s.article_id].record
+        scores = [score(o.record, want) if o.parsed else 0.0
+                  for o in s.outcomes]
+        pass1.extend(scores[:1] if pass1_mode == "first" else scores)
+        best.append(max(scores, default=0.0))
+    return FieldMetrics(pass_at_1=sum(pass1) / len(pass1),
+                        pass_at_k=sum(best) / len(best))
+
+
 def evaluate_boolean_field(
     field: str,
     samples: list[SampleSet],
@@ -115,32 +163,13 @@ def evaluate_boolean_field(
 ) -> FieldMetrics:
     """Accuracy of one boolean field at pass@1 and pass@k.
 
-    A sample is correct iff it parsed and its boolean equals gold. pass@1
-    averages correctness over every (article, sample) pair ("mean" mode) or
-    over first samples only ("first" mode); pass@k is the fraction of
-    articles with at least one correct sample.
+    A sample is correct iff it parsed and its boolean equals gold; pass@k is
+    the fraction of articles with at least one correct sample.
     """
-    if pass1_mode not in PASS1_MODES:
-        raise ValueError(f"unknown pass@1 mode: {pass1_mode!r}")
-    if not samples:
-        raise EvaluationError("no samples")
-    by_id = _gold_map(gold, samples)
-    first_or_all: list[float] = []
-    per_article_any: list[float] = []
-    for s in samples:
-        want = getattr(by_id[s.article_id].record, field)
-        correct = [
-            o.parsed and getattr(o.record, field) == want for o in s.outcomes
-        ]
-        if pass1_mode == "first":
-            first_or_all.append(1.0 if correct[0] else 0.0)
-        else:
-            first_or_all.extend(1.0 if c else 0.0 for c in correct)
-        per_article_any.append(1.0 if any(correct) else 0.0)
-    return FieldMetrics(
-        pass_at_1=sum(first_or_all) / len(first_or_all),
-        pass_at_k=sum(per_article_any) / len(per_article_any),
-    )
+    return _pass_metrics(
+        samples, gold, pass1_mode,
+        lambda record, want: float(getattr(record, field)
+                                   == getattr(want, field)))
 
 
 def evaluate_list_field(
@@ -152,32 +181,11 @@ def evaluate_list_field(
 ) -> FieldMetrics:
     """Matching F1 of one evidence-list field at pass@1 and pass@k.
 
-    Unparsed samples score 0. pass@1 averages per-sample F1; pass@k averages
-    each article's best sample F1.
+    pass@1 averages per-sample F1; pass@k averages each article's best
+    sample F1.
     """
-    if pass1_mode not in PASS1_MODES:
-        raise ValueError(f"unknown pass@1 mode: {pass1_mode!r}")
-    if not samples:
-        raise EvaluationError("no samples")
-    by_id = _gold_map(gold, samples)
-    sample_f1s: list[float] = []
-    best_f1s: list[float] = []
-    for s in samples:
-        want = getattr(by_id[s.article_id].record, field)
-        f1s = [
-            field_f1(match_sets(getattr(o.record, field), want, threshold))
-            if o.parsed else 0.0
-            for o in s.outcomes
-        ]
-        if pass1_mode == "first":
-            sample_f1s.append(f1s[0])
-        else:
-            sample_f1s.extend(f1s)
-        best_f1s.append(max(f1s))
-    return FieldMetrics(
-        pass_at_1=sum(sample_f1s) / len(sample_f1s),
-        pass_at_k=sum(best_f1s) / len(best_f1s),
-    )
+    return _pass_metrics(samples, gold, pass1_mode,
+                         _list_f1(field, threshold))
 
 
 def flag_disagreements(
@@ -189,27 +197,21 @@ def flag_disagreements(
     """Articles whose samples disagree with gold enough to warrant review.
 
     Flags when the majority vote of parsed samples contradicts gold on either
-    boolean, or when any list field's best-sample F1 falls below the floor.
+    boolean (ties count as False), or when any list field's best-sample F1
+    falls below the floor.
     """
     by_id = _gold_map(gold, samples)
     flagged: list[FlaggedArticle] = []
     for s in samples:
-        ann = by_id[s.article_id]
+        want = by_id[s.article_id].record
         reasons: list[str] = []
         parsed = [o.record for o in s.outcomes if o.parsed]
         for name in BOOLEAN_FIELDS:
-            votes = [getattr(r, name) for r in parsed]
-            majority = sum(votes) * 2 > len(votes)  # ties resolve to False
-            if majority != getattr(ann.record, name):
+            if majority_vote(parsed, name) != getattr(want, name):
                 reasons.append(f"{name} majority disagreement")
         for name in LIST_FIELDS:
-            want = getattr(ann.record, name)
-            best = max(
-                (field_f1(match_sets(getattr(r, name), want,
-                                     thresholds.for_field(name)))
-                 for r in parsed),
-                default=0.0,
-            )
+            f1 = _list_f1(name, thresholds.for_field(name))
+            best = max((f1(r, want) for r in parsed), default=0.0)
             if best < rules.f1_floor:
                 reasons.append(
                     f"{name} best F1 {best:.2f} below floor {rules.f1_floor:.2f}")
@@ -262,37 +264,15 @@ def render_report_table(report: EvalReport) -> str:
         rows.append((name, f"{m.pass_at_1 * 100:.1f}%", f"{m.pass_at_k * 100:.1f}%"))
     for name, m in report.list_fields.items():
         rows.append((name, f"{m.pass_at_1:.3f}", f"{m.pass_at_k:.3f}"))
-    width0 = max(len(r[0]) for r in rows + [header])
-    width1 = max(len(r[1]) for r in rows + [header])
-    width2 = max(len(r[2]) for r in rows + [header])
-    lines = [
-        f"{header[0]:<{width0}}  {header[1]:>{width1}}  {header[2]:>{width2}}",
-        f"{'-' * width0}  {'-' * width1}  {'-' * width2}",
-    ]
-    for name, p1, pk in rows:
-        lines.append(f"{name:<{width0}}  {p1:>{width1}}  {pk:>{width2}}")
-    return "\n".join(lines)
+    widths = [max(len(r[i]) for r in rows + [header]) for i in range(3)]
 
+    def line(cells) -> str:
+        name, p1, pk = cells
+        return (f"{name:<{widths[0]}}  {p1:>{widths[1]}}  "
+                f"{pk:>{widths[2]}}")
 
-def report_to_payload(report: EvalReport) -> dict:
-    return {
-        "articles": report.articles,
-        "samples_per_article": report.samples_per_article,
-        "pass1_mode": report.pass1_mode,
-        "boolean_fields": {
-            name: {"pass_at_1": m.pass_at_1, "pass_at_k": m.pass_at_k}
-            for name, m in report.boolean_fields.items()
-        },
-        "list_fields": {
-            name: {"pass_at_1": m.pass_at_1, "pass_at_k": m.pass_at_k}
-            for name, m in report.list_fields.items()
-        },
-        "config": report.config,
-    }
+    return "\n".join(map(line, [header, ["-" * w for w in widths], *rows]))
 
 
 def save_report(report: EvalReport, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(report_to_payload(report), fh, sort_keys=True, indent=2,
-                  ensure_ascii=False)
-        fh.write("\n")
+    write_json(path, asdict(report))

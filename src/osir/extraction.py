@@ -15,40 +15,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .identifiers import canonicalize_identifier
-
-BOOLEAN_FIELDS = ("new_data_generated", "reuse_data")
-
-LIST_FIELDS = (
-    "new_data_citations",
-    "new_data_accessions",
-    "new_data_dois",
-    "new_data_urls",
-    "reuse_data_citations",
-    "reuse_data_accessions",
-    "reuse_data_dois",
-    "reuse_data_urls",
-)
-
-DESCRIPTION_FIELDS = ("new_data_description", "reuse_data_description")
-
-#: The ten fields that carry scored judgments (booleans + evidence lists).
-SCORED_FIELDS = BOOLEAN_FIELDS + LIST_FIELDS
-
-_FIELD_KIND = {
-    "new_data_citations": "citation",
-    "reuse_data_citations": "citation",
-    "new_data_accessions": "accession",
-    "reuse_data_accessions": "accession",
-    "new_data_dois": "doi",
-    "reuse_data_dois": "doi",
-    "new_data_urls": "url",
-    "reuse_data_urls": "url",
-}
-
-
-def field_kind(name: str) -> str:
-    """Identifier kind ('doi' | 'url' | 'accession' | 'citation') of a list field."""
-    return _FIELD_KIND[name]
+from .jsonl import field_dict, iter_jsonl, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -70,6 +37,29 @@ class ExtractionRecord:
 
     def lists(self) -> dict[str, tuple[str, ...]]:
         return {name: getattr(self, name) for name in LIST_FIELDS}
+
+
+def _fields_of_type(annotation: str) -> tuple[str, ...]:
+    return tuple(f.name for f in dc_fields(ExtractionRecord)
+                 if f.type == annotation)
+
+
+BOOLEAN_FIELDS = _fields_of_type("bool")
+LIST_FIELDS = _fields_of_type("tuple[str, ...]")
+DESCRIPTION_FIELDS = _fields_of_type("str | None")
+
+#: The ten fields that carry scored judgments (booleans + evidence lists).
+SCORED_FIELDS = BOOLEAN_FIELDS + LIST_FIELDS
+
+#: Evidence list -> identifier kind, the last word of its name in the
+#: singular: new_data_dois -> "doi".
+_FIELD_KIND = {name: name.rsplit("_", 1)[1].removesuffix("s")
+               for name in LIST_FIELDS}
+
+
+def field_kind(name: str) -> str:
+    """Identifier kind ('doi' | 'url' | 'accession' | 'citation') of a list field."""
+    return _FIELD_KIND[name]
 
 
 @dataclass(frozen=True)
@@ -226,49 +216,64 @@ class CompletionsFileError(ValueError):
     pass
 
 
-def load_completions(path: str | Path) -> list[RawCompletion]:
-    """Load a completions file: one {article_id, sample_index, text} per line."""
-    path = Path(path)
-    if not path.exists():
-        raise CompletionsFileError(f"completions file not found: {path}")
-    out: list[RawCompletion] = []
-    seen: set[tuple[str, int]] = set()
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CompletionsFileError(
-                    f"line {line_no}: invalid JSON ({exc.msg})") from exc
-            try:
-                article_id = payload["article_id"]
-                sample_index = payload["sample_index"]
-                text = payload["text"]
-            except (KeyError, TypeError) as exc:
-                raise CompletionsFileError(
-                    f"line {line_no}: missing field {exc}") from exc
-            if not isinstance(sample_index, int) or sample_index < 0:
-                raise CompletionsFileError(
-                    f"line {line_no}: sample_index must be a non-negative integer")
-            key = (article_id, sample_index)
-            if key in seen:
-                raise CompletionsFileError(
-                    f"line {line_no}: duplicate sample {key}")
-            seen.add(key)
-            out.append(RawCompletion(article_id, sample_index, text))
+class GoldFileError(ValueError):
+    pass
+
+
+def _article_id(payload: dict, line_no: int, error_cls: type[Exception]) -> str:
+    article_id = payload.get("article_id")
+    if not isinstance(article_id, str) or not article_id:
+        raise error_cls(f"line {line_no}: missing or empty article_id")
+    return article_id
+
+
+def _sample_key(payload: dict, line_no: int,
+                error_cls: type[Exception]) -> tuple[str, int]:
+    article_id = _article_id(payload, line_no, error_cls)
+    sample_index = payload.get("sample_index")
+    if type(sample_index) is not int or sample_index < 0:
+        raise error_cls(
+            f"line {line_no}: sample_index must be a non-negative integer")
+    return article_id, sample_index
+
+
+def _checked_record(payload: dict, line_no: int,
+                    error_cls: type[Exception]) -> ExtractionRecord:
+    record, reason = _record_from_payload(payload)
+    if record is None:
+        raise error_cls(f"line {line_no}: {reason}")
+    return record
+
+
+def read_completions(
+    path: str | Path,
+    error_cls: type[Exception] = CompletionsFileError,
+    what: str = "completions file",
+) -> dict[tuple[str, int], RawCompletion]:
+    """Completions keyed by (article_id, sample_index), in file order.
+
+    Shared by the completions file and the replay fixture: one
+    {article_id, sample_index, text} per line, each key at most once.
+    """
+    out: dict[tuple[str, int], RawCompletion] = {}
+    for line_no, payload in iter_jsonl(path, error_cls, what):
+        key = _sample_key(payload, line_no, error_cls)
+        text = payload.get("text")
+        if not isinstance(text, str):
+            raise error_cls(f"line {line_no}: text must be a string")
+        if key in out:
+            raise error_cls(f"line {line_no}: duplicate sample {key}")
+        out[key] = RawCompletion(*key, text)
     return out
 
 
+def load_completions(path: str | Path) -> list[RawCompletion]:
+    """Load a completions file: one {article_id, sample_index, text} per line."""
+    return list(read_completions(path).values())
+
+
 def save_completions(completions: Iterable[RawCompletion], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for c in completions:
-            fh.write(json.dumps(
-                {"article_id": c.article_id, "sample_index": c.sample_index,
-                 "text": c.text},
-                sort_keys=True, ensure_ascii=False))
-            fh.write("\n")
+    write_jsonl(path, map(field_dict, completions))
 
 
 def save_records(
@@ -276,70 +281,35 @@ def save_records(
     path: str | Path,
 ) -> None:
     """Write parsed records keyed by (article_id, sample_index)."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for article_id, sample_index, record in records:
-            payload = {"article_id": article_id, "sample_index": sample_index}
-            payload.update(record_to_payload(record))
-            fh.write(json.dumps(payload, sort_keys=True, ensure_ascii=False))
-            fh.write("\n")
+    write_jsonl(path, ({"article_id": article_id, "sample_index": sample_index,
+                        **record_to_payload(record)}
+                       for article_id, sample_index, record in records))
 
 
 def load_records(path: str | Path) -> list[tuple[str, int, ExtractionRecord]]:
-    path = Path(path)
-    if not path.exists():
-        raise CompletionsFileError(f"records file not found: {path}")
-    out: list[tuple[str, int, ExtractionRecord]] = []
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            payload = json.loads(line)
-            record, reason = _record_from_payload(payload)
-            if record is None:
-                raise CompletionsFileError(f"line {line_no}: {reason}")
-            out.append((payload["article_id"], int(payload["sample_index"]), record))
-    return out
-
-
-class GoldFileError(ValueError):
-    pass
+    return [(*_sample_key(payload, line_no, CompletionsFileError),
+             _checked_record(payload, line_no, CompletionsFileError))
+            for line_no, payload in iter_jsonl(path, CompletionsFileError,
+                                               "records file")]
 
 
 def load_gold(path: str | Path) -> list[GoldAnnotation]:
     """Load gold annotations: record fields plus article_id, one per line."""
-    path = Path(path)
-    if not path.exists():
-        raise GoldFileError(f"gold file not found: {path}")
     out: list[GoldAnnotation] = []
     seen: dict[str, int] = {}
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise GoldFileError(
-                    f"line {line_no}: invalid JSON ({exc.msg})") from exc
-            article_id = payload.get("article_id")
-            if not isinstance(article_id, str) or not article_id:
-                raise GoldFileError(f"line {line_no}: missing or empty article_id")
-            if article_id in seen:
-                raise GoldFileError(
-                    f"duplicate gold annotation for {article_id!r} on lines "
-                    f"{seen[article_id]} and {line_no}")
-            seen[article_id] = line_no
-            record, reason = _record_from_payload(payload)
-            if record is None:
-                raise GoldFileError(f"line {line_no}: {reason}")
-            out.append(GoldAnnotation(article_id=article_id, record=record))
+    for line_no, payload in iter_jsonl(path, GoldFileError, "gold file"):
+        article_id = _article_id(payload, line_no, GoldFileError)
+        if article_id in seen:
+            raise GoldFileError(
+                f"duplicate gold annotation for {article_id!r} on lines "
+                f"{seen[article_id]} and {line_no}")
+        seen[article_id] = line_no
+        out.append(GoldAnnotation(
+            article_id, _checked_record(payload, line_no, GoldFileError)))
     return out
 
 
 def save_gold(annotations: Iterable[GoldAnnotation], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for ann in annotations:
-            payload = {"article_id": ann.article_id}
-            payload.update(record_to_payload(ann.record))
-            fh.write(json.dumps(payload, sort_keys=True, ensure_ascii=False))
-            fh.write("\n")
+    write_jsonl(path, ({"article_id": ann.article_id,
+                        **record_to_payload(ann.record)}
+                       for ann in annotations))

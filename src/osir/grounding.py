@@ -239,6 +239,27 @@ def _prepare_candidate(kind: str, value: str) -> str:
     return value
 
 
+def _ground(
+    article: Article,
+    record: ExtractionRecord,
+    thresholds: Thresholds,
+    exact_score: bool,
+) -> dict[str, list[tuple[str, float, MatchResult]]]:
+    """Per evidence field of *record*: (string, threshold, result) for each
+    of its strings, grounded in *article* with the field kind's threshold."""
+    art_norm = article.normalized_body
+    grounded = {}
+    for name, values in record.lists().items():
+        kind = field_kind(name)
+        threshold = thresholds.for_kind(kind)
+        grounded[name] = [
+            (value, threshold, _fuzzy_contains_normalized(
+                art_norm, _prepare_candidate(kind, value), threshold,
+                exact_score))
+            for value in values]
+    return grounded
+
+
 def embellishment_reward(
     article: Article,
     record: ExtractionRecord,
@@ -256,22 +277,11 @@ def embellishment_reward(
     """
     if mode not in EMBELLISHMENT_MODES:
         raise ValueError(f"unknown embellishment mode: {mode!r}")
-    art_norm = article.normalized_body
-    matches: dict[str, tuple[MatchResult, ...]] = {}
-    grounded = 0
-    total = 0
-    for name, values in record.lists().items():
-        kind = field_kind(name)
-        threshold = thresholds.for_kind(kind)
-        results = []
-        for value in values:
-            result = _fuzzy_contains_normalized(
-                art_norm, _prepare_candidate(kind, value), threshold,
-                exact_score=False)
-            results.append(result)
-            total += 1
-            grounded += result.matched
-        matches[name] = tuple(results)
+    matches = {name: tuple(result for _, _, result in results)
+               for name, results in _ground(article, record, thresholds,
+                                            exact_score=False).items()}
+    total = sum(len(results) for results in matches.values())
+    grounded = sum(m.matched for results in matches.values() for m in results)
     if total == 0:
         e = 1.0
     elif mode == "binary":
@@ -319,18 +329,13 @@ def filter_gold(
         if article is None:
             raise KeyError(
                 f"gold annotation references unknown article {ann.article_id!r}")
-        art_norm = article.normalized_body
-        diagnostics: list[RemovalDiagnostic] = []
-        for name, values in ann.record.lists().items():
-            kind = field_kind(name)
-            threshold = thresholds.for_kind(kind)
-            for value in values:
-                result = _fuzzy_contains_normalized(
-                    art_norm, _prepare_candidate(kind, value), threshold)
-                if not result.matched:
-                    diagnostics.append(RemovalDiagnostic(
-                        article_id=ann.article_id, field=name, string=value,
-                        best_score=result.score, threshold=threshold))
+        diagnostics = [
+            RemovalDiagnostic(article_id=ann.article_id, field=name,
+                              string=value, best_score=result.score,
+                              threshold=threshold)
+            for name, results in _ground(article, ann.record, thresholds,
+                                         exact_score=True).items()
+            for value, threshold, result in results if not result.matched]
         if diagnostics:
             removed.append(RemovedAnnotation(ann, tuple(diagnostics)))
         else:

@@ -9,15 +9,15 @@ reasoning-trace coverage and accession statistics.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Iterable
 
 from .corpus import Article
-from .evaluation import SampleSet
+from .evaluation import SampleSet, majority_vote
 from .identifiers import canonicalize_identifier
+from .jsonl import field_dict, write_json, write_jsonl
 
 GROUPINGS = ("discipline", "region", "total")
 TOTAL_LABEL = "Total"
@@ -37,13 +37,6 @@ def percent_one_decimal(count: int, total: int) -> float:
         return 0.0
     return float((Decimal(100 * count) / Decimal(total))
                  .quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
-
-
-@dataclass(frozen=True)
-class VerdictPolicy:
-    """How ties are broken when parsed samples split evenly on a boolean."""
-
-    tie_value: bool = False
 
 
 @dataclass(frozen=True)
@@ -95,12 +88,11 @@ class AccessionStats:
     accessions: tuple[str, ...]  # canonical, sorted
 
 
-def resolve_verdict(samples: SampleSet,
-                    policy: VerdictPolicy = VerdictPolicy()) -> ArticleVerdict:
+def resolve_verdict(samples: SampleSet) -> ArticleVerdict:
     """Reduce one article's samples to a single verdict.
 
-    Booleans resolve by majority vote over parsed samples (exact ties take
-    the policy default). Evidence is unioned across parsed samples. Trace
+    Booleans resolve by majority vote over parsed samples (exact ties resolve
+    to False). Evidence is unioned across parsed samples. Trace
     flags reflect whether any sample carried a non-empty description for the
     category. Zero parsed samples yield an unresolved verdict with both
     booleans false.
@@ -115,14 +107,8 @@ def resolve_verdict(samples: SampleSet,
             has_accession=False, has_generation_trace=False,
             has_reuse_trace=False, reused_accessions=(), unresolved=True)
 
-    def vote(field: str) -> bool:
-        yes = sum(1 for r in parsed if getattr(r, field))
-        if yes * 2 == len(parsed):
-            return policy.tie_value
-        return yes * 2 > len(parsed)
-
-    generated = vote("new_data_generated")
-    reused = vote("reuse_data")
+    generated = majority_vote(parsed, "new_data_generated")
+    reused = majority_vote(parsed, "reuse_data")
 
     accession_union: set[str] = set()
     reused_accessions: set[str] = set()
@@ -232,25 +218,14 @@ def accession_stats(verdicts: list[ArticleVerdict]) -> AccessionStats:
 # ---------------------------------------------------------------------------
 # File interfaces
 
-INDICATOR_CSV_COLUMNS = (
-    "group", "publications",
-    "generated_count", "generated_pct",
-    "reused_count", "reused_pct",
-    "neither_count", "neither_pct",
-)
+INDICATOR_CSV_COLUMNS = tuple(f.name for f in fields(IndicatorRow))
 
 
 def save_indicator_rows(rows: Iterable[IndicatorRow], path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(INDICATOR_CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([
-                row.group, row.publications,
-                row.generated_count, row.generated_pct,
-                row.reused_count, row.reused_pct,
-                row.neither_count, row.neither_pct,
-            ])
+        writer.writerows(map(astuple, rows))
 
 
 def save_summary(trace: TraceCoverage, accessions: AccessionStats,
@@ -270,23 +245,8 @@ def save_summary(trace: TraceCoverage, accessions: AccessionStats,
             "values": list(accessions.accessions),
         },
     }
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, ensure_ascii=False)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def save_verdicts(verdicts: Iterable[ArticleVerdict], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for v in verdicts:
-            fh.write(json.dumps({
-                "article_id": v.article_id,
-                "new_data_generated": v.new_data_generated,
-                "data_reused": v.data_reused,
-                "neither": v.neither,
-                "has_accession": v.has_accession,
-                "has_generation_trace": v.has_generation_trace,
-                "has_reuse_trace": v.has_reuse_trace,
-                "reused_accessions": list(v.reused_accessions),
-                "unresolved": v.unresolved,
-            }, sort_keys=True, ensure_ascii=False))
-            fh.write("\n")
+    write_jsonl(path, map(field_dict, verdicts))

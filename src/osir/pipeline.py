@@ -1,9 +1,14 @@
-"""End-to-end orchestration: ingest -> prompt -> complete -> parse ->
-(score) -> verdicts -> aggregate, with a digest manifest for reproducibility.
+"""The indicator pipeline, one function per stage, with a digest manifest.
 
-Stages communicate only via the files named in the manifest. Replay-mode runs
-are bit-reproducible: identical inputs and config produce byte-identical
-outputs, so deleting intermediates and re-running regenerates the same bytes.
+ingest -> prompt -> complete -> parse -> (score) -> verdicts -> aggregate.
+Each stage is a function over in-memory values, paired with the writer of its
+artifact, and fails with a PipelineError that names the stage. run_pipeline
+chains the stages in one process and passes values from one to the next:
+each completion is parsed once, and the files are outputs, not inputs. The
+`extract`, `score` and `aggregate` subcommands call the same functions on
+artifacts read back from disk, so running them in turn writes the same bytes
+as `osir run`. Replay-mode runs are bit-reproducible: identical inputs and
+config produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -11,21 +16,32 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .backend import make_backend
 from .config import PipelineConfig
-from .corpus import PROMPT_TEMPLATE_VERSION, build_prompt, load_corpus
-from .evaluation import build_sample_sets
+from .corpus import (
+    PROMPT_TEMPLATE_VERSION,
+    Article,
+    PreparedPrompt,
+    build_prompt,
+    load_corpus,
+)
+from .evaluation import SampleSet, group_samples
 from .extraction import (
+    GoldAnnotation,
+    ParseOutcome,
     RawCompletion,
-    parse_extraction,
     load_gold,
+    parse_extraction,
     save_completions,
     save_records,
 )
 from .indicators import (
+    ArticleVerdict,
+    IndicatorRow,
     accession_stats,
     aggregate_by,
     resolve_verdict,
@@ -34,7 +50,15 @@ from .indicators import (
     save_verdicts,
     trace_coverage,
 )
-from .scoring import total_reward
+from .jsonl import field_dict, write_json, write_jsonl
+from .scoring import outcome_reward
+
+#: One parsed sample: (article_id, sample_index, outcome).
+Parsed = tuple[str, int, ParseOutcome]
+
+#: The samples of an article that has none, so that its verdict is unresolved.
+NO_SAMPLES = (ParseOutcome(status="format_failure",
+                           failure_reason="no parsed samples"),)
 
 
 class PipelineError(RuntimeError):
@@ -70,7 +94,7 @@ def file_digest(path: str | Path) -> str:
 
 
 def config_digest(config: PipelineConfig) -> str:
-    canonical = json.dumps(config.to_payload(), sort_keys=True,
+    canonical = json.dumps(asdict(config), sort_keys=True,
                            separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -91,10 +115,102 @@ def manifest_to_payload(manifest: PipelineManifest) -> dict:
     }
 
 
-def _stage(name: str, out_dir: Path, *paths: Path) -> StageOutput:
-    rel = tuple(str(p.relative_to(out_dir)) for p in paths)
-    return StageOutput(name=name, paths=rel,
-                       digests=tuple(file_digest(p) for p in paths))
+# ---------------------------------------------------------------------------
+# Stages and their writers
+
+
+@contextmanager
+def _failing_as(stage: str, article_id: str | None = None):
+    """Re-raise any error inside the block as a PipelineError of *stage*."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as exc:
+        raise PipelineError(stage, str(exc), article_id) from exc
+
+
+def prompt_stage(articles: list[Article],
+                 config: PipelineConfig) -> list[PreparedPrompt]:
+    prompts = []
+    for article in articles:
+        with _failing_as("prompt", article.id):
+            prompts.append(build_prompt(article, config.token_budget))
+    return prompts
+
+
+def complete_stage(prompts: list[PreparedPrompt],
+                   config: PipelineConfig) -> list[RawCompletion]:
+    """samples_per_article completions of every prompt, with at most
+    max_in_flight requests at a time, in (article_id, sample_index) order.
+    The first failed request aborts the stage."""
+    n = config.samples_per_article
+    with _failing_as("complete"):
+        backend = make_backend(config.backend())
+        with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
+            batches = list(pool.map(lambda p: backend.complete(p, n), prompts))
+    return sorted((c for batch in batches for c in batch),
+                  key=lambda c: (c.article_id, c.sample_index))
+
+
+def parse_stage(completions: list[RawCompletion]) -> list[Parsed]:
+    """Each completion parsed once, keyed by (article_id, sample_index)."""
+    return [(c.article_id, c.sample_index, parse_extraction(c))
+            for c in completions]
+
+
+def save_parsed(parsed: list[Parsed], path: str | Path) -> None:
+    """The records of the samples that parsed (records.jsonl)."""
+    save_records(((article_id, sample_index, outcome.record)
+                  for article_id, sample_index, outcome in parsed
+                  if outcome.parsed), path)
+
+
+def score_stage(parsed: list[Parsed], articles: dict[str, Article],
+                gold: dict[str, GoldAnnotation],
+                config: PipelineConfig) -> list[dict]:
+    """One reward row (rewards.jsonl) per sample, in the order given."""
+    thresholds = config.thresholds()
+    rows = []
+    for article_id, sample_index, outcome in parsed:
+        if article_id not in articles:
+            raise PipelineError("score", "unknown article", article_id)
+        if article_id not in gold:
+            raise PipelineError("score", "no gold annotation", article_id)
+        with _failing_as("score", article_id):
+            breakdown = outcome_reward(articles[article_id], outcome,
+                                       gold[article_id], thresholds,
+                                       config.embellishment_mode)
+        rows.append({"article_id": article_id, "sample_index": sample_index,
+                     **field_dict(breakdown)})
+    return rows
+
+
+def verdict_stage(parsed: list[Parsed],
+                  articles: dict[str, Article]) -> list[ArticleVerdict]:
+    """One verdict per article, in article-id order. An article without
+    samples gets an unresolved verdict; a sample of an article outside
+    *articles* fails the stage."""
+    sets = {s.article_id: s for s in group_samples(parsed)}
+    unknown = sorted(sets.keys() - articles.keys())
+    if unknown:
+        raise PipelineError("verdicts", "unknown article", unknown[0])
+    return [resolve_verdict(sets.get(article_id)
+                            or SampleSet(article_id, NO_SAMPLES))
+            for article_id in sorted(articles)]
+
+
+def aggregate_stage(verdicts: list[ArticleVerdict],
+                    articles: dict[str, Article], config: PipelineConfig,
+                    out_dir: Path) -> list[IndicatorRow]:
+    """Write indicators.csv and summary.json under out_dir; return the
+    indicator rows."""
+    with _failing_as("aggregate"):
+        rows = aggregate_by(verdicts, config.group_by, articles)
+        trace, accessions = trace_coverage(verdicts), accession_stats(verdicts)
+    save_indicator_rows(rows, out_dir / "indicators.csv")
+    save_summary(trace, accessions, out_dir / "summary.json")
+    return rows
 
 
 def run_pipeline(
@@ -113,114 +229,40 @@ def run_pipeline(
     out.mkdir(parents=True, exist_ok=True)
     stages: list[StageOutput] = []
 
-    # ingest
-    try:
+    def emit(name: str, *paths: Path) -> None:
+        stages.append(StageOutput(
+            name=name, paths=tuple(str(p.relative_to(out)) for p in paths),
+            digests=tuple(file_digest(p) for p in paths)))
+
+    with _failing_as("ingest"):
         articles = load_corpus(corpus_path)
-    except Exception as exc:
-        raise PipelineError("ingest", str(exc)) from exc
-    gold = None
-    if gold_path is not None:
-        try:
-            gold = load_gold(gold_path)
-        except Exception as exc:
-            raise PipelineError("ingest", str(exc)) from exc
-
-    # prompt
-    prompts = []
-    for article in articles:
-        try:
-            prompts.append(build_prompt(article, config.token_budget))
-        except Exception as exc:
-            raise PipelineError("prompt", str(exc), article.id) from exc
-    prompts_path = out / "prompts.jsonl"
-    with prompts_path.open("w", encoding="utf-8") as fh:
-        for p in prompts:
-            fh.write(json.dumps(
-                {"article_id": p.article_id, "text": p.text,
-                 "token_count": p.token_count, "truncated": p.truncated},
-                sort_keys=True, ensure_ascii=False))
-            fh.write("\n")
-    stages.append(_stage("prompt", out, prompts_path))
-
-    # complete: fan out up to max_in_flight requests, merge in article order
-    backend = make_backend(config.backend())
-    n = config.samples_per_article
-
-    def fetch(prompt):
-        return backend.complete(prompt, n)
-
-    completions: list[RawCompletion] = []
-    try:
-        with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-            for batch in pool.map(fetch, prompts):
-                completions.extend(batch)
-    except Exception as exc:
-        raise PipelineError("complete", str(exc)) from exc
-    completions.sort(key=lambda c: (c.article_id, c.sample_index))
-    completions_path = out / "completions.jsonl"
-    save_completions(completions, completions_path)
-    stages.append(_stage("complete", out, completions_path))
-
-    # parse
-    outcomes = {(c.article_id, c.sample_index): parse_extraction(c)
-                for c in completions}
-    records_path = out / "records.jsonl"
-    save_records(
-        ((aid, idx, o.record) for (aid, idx), o in sorted(outcomes.items())
-         if o.parsed),
-        records_path)
-    stages.append(_stage("parse", out, records_path))
-
+        gold = None if gold_path is None else load_gold(gold_path)
     articles_by_id = {a.id: a for a in articles}
 
-    # score (only with gold)
+    prompts = prompt_stage(articles, config)
+    write_jsonl(out / "prompts.jsonl", map(field_dict, prompts))
+    emit("prompt", out / "prompts.jsonl")
+
+    completions = complete_stage(prompts, config)
+    save_completions(completions, out / "completions.jsonl")
+    emit("complete", out / "completions.jsonl")
+
+    parsed = parse_stage(completions)
+    save_parsed(parsed, out / "records.jsonl")
+    emit("parse", out / "records.jsonl")
+
     if gold is not None:
-        gold_by_id = {g.article_id: g for g in gold}
-        rewards_path = out / "rewards.jsonl"
-        with rewards_path.open("w", encoding="utf-8") as fh:
-            for c in completions:
-                ann = gold_by_id.get(c.article_id)
-                if ann is None:
-                    raise PipelineError("score", "no gold annotation",
-                                        c.article_id)
-                try:
-                    breakdown = total_reward(
-                        articles_by_id[c.article_id], c, ann,
-                        config.thresholds(), config.embellishment_mode)
-                except Exception as exc:
-                    raise PipelineError("score", str(exc), c.article_id) from exc
-                fh.write(json.dumps({
-                    "article_id": c.article_id,
-                    "sample_index": c.sample_index,
-                    "f": breakdown.f, "e": breakdown.e,
-                    "v": breakdown.v, "r": breakdown.r,
-                    "sub_scores": breakdown.sub_scores,
-                }, sort_keys=True, ensure_ascii=False))
-                fh.write("\n")
-        stages.append(_stage("score", out, rewards_path))
+        write_jsonl(out / "rewards.jsonl",
+                    score_stage(parsed, articles_by_id,
+                                {g.article_id: g for g in gold}, config))
+        emit("score", out / "rewards.jsonl")
 
-    # verdicts
-    sample_sets = build_sample_sets(completions)
-    try:
-        verdicts = [resolve_verdict(s) for s in sample_sets]
-    except Exception as exc:
-        raise PipelineError("verdicts", str(exc)) from exc
-    verdicts_path = out / "verdicts.jsonl"
-    save_verdicts(verdicts, verdicts_path)
-    stages.append(_stage("verdicts", out, verdicts_path))
+    verdicts = verdict_stage(parsed, articles_by_id)
+    save_verdicts(verdicts, out / "verdicts.jsonl")
+    emit("verdicts", out / "verdicts.jsonl")
 
-    # aggregate
-    try:
-        rows = aggregate_by(verdicts, config.group_by, articles_by_id)
-        trace = trace_coverage(verdicts)
-        accessions = accession_stats(verdicts)
-    except Exception as exc:
-        raise PipelineError("aggregate", str(exc)) from exc
-    indicators_path = out / "indicators.csv"
-    summary_path = out / "summary.json"
-    save_indicator_rows(rows, indicators_path)
-    save_summary(trace, accessions, summary_path)
-    stages.append(_stage("aggregate", out, indicators_path, summary_path))
+    aggregate_stage(verdicts, articles_by_id, config, out)
+    emit("aggregate", out / "indicators.csv", out / "summary.json")
 
     manifest = PipelineManifest(
         corpus_path=str(corpus_path),
@@ -231,9 +273,5 @@ def run_pipeline(
         prompt_template_version=PROMPT_TEMPLATE_VERSION,
         stages=tuple(stages),
     )
-    manifest_path = out / "manifest.json"
-    with manifest_path.open("w", encoding="utf-8") as fh:
-        json.dump(manifest_to_payload(manifest), fh, sort_keys=True, indent=2,
-                  ensure_ascii=False)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest_to_payload(manifest))
     return manifest

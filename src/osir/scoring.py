@@ -16,6 +16,7 @@ from .extraction import (
     ExtractionRecord,
     GoldAnnotation,
     LIST_FIELDS,
+    ParseOutcome,
     RawCompletion,
     SCORED_FIELDS,
     format_reward,
@@ -133,13 +134,27 @@ def total_reward(
 ) -> RewardBreakdown:
     """Compose format, grounding, and accuracy into one reward.
 
-    An unparseable completion short-circuits to all-zero components so the
-    breakdown stays total and r = f * e * v holds exactly.
+    Parses *raw* and scores the outcome with outcome_reward.
     """
     if raw.article_id != article.id:
         raise ValueError(
             f"completion is for article {raw.article_id!r}, got {article.id!r}")
-    outcome = parse_extraction(raw)
+    return outcome_reward(article, parse_extraction(raw), gold, thresholds,
+                          embellishment_mode)
+
+
+def outcome_reward(
+    article: Article,
+    outcome: ParseOutcome,
+    gold: GoldAnnotation,
+    thresholds: Thresholds = DEFAULT_THRESHOLDS,
+    embellishment_mode: str = "fraction",
+) -> RewardBreakdown:
+    """The reward of an already parsed completion of *article*.
+
+    An unparseable completion short-circuits to all-zero components so the
+    breakdown stays total and r = f * e * v holds exactly.
+    """
     f = format_reward(outcome)
     if f == 0:
         return RewardBreakdown(f=0, e=0.0, v=0.0, r=0.0, sub_scores={})
@@ -147,6 +162,6 @@ def total_reward(
     report = embellishment_reward(article, outcome.record, thresholds,
                                   mode=embellishment_mode)
     v, sub = accuracy_reward(outcome.record, gold, thresholds,
-                             article_id=raw.article_id)
+                             article_id=article.id)
     return RewardBreakdown(f=f, e=report.e, v=v, r=f * report.e * v,
                            sub_scores=sub)

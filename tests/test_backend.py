@@ -79,6 +79,20 @@ class TestReplayBackend:
         with pytest.raises(ReplayFixtureError, match="duplicate"):
             ReplayBackend(path)
 
+    @pytest.mark.parametrize("fields", [
+        {"text": 123},
+        {"text": None},
+        {"article_id": ["A"]},
+        {"sample_index": True},
+    ])
+    def test_fixture_field_types(self, tmp_path, fields):
+        path = self.fixture(tmp_path, [
+            {"article_id": "A", "sample_index": 0, "text": "x"},
+            {"article_id": "A", "sample_index": 1, "text": "y", **fields},
+        ])
+        with pytest.raises(ReplayFixtureError, match="line 2"):
+            ReplayBackend(path)
+
     def test_missing_fixture_file(self, tmp_path):
         with pytest.raises(ReplayFixtureError, match="not found"):
             ReplayBackend(tmp_path / "missing.jsonl")

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import random
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
@@ -10,6 +12,7 @@ from osir.cli import main
 
 from conftest import (
     build_replay_bundle,
+    completion_text,
     corpus_row,
     gold_row,
     make_article,
@@ -223,6 +226,21 @@ class TestAggregate:
         assert total["neither_count"] == "1"
 
 
+    def test_record_of_unknown_article_fails(self, runner, tmp_path):
+        corpus_path = write_jsonl(tmp_path / "c.jsonl",
+                                  [corpus_row(make_article("R1", "text"))])
+        row = {"article_id": "R9", "sample_index": 0}
+        from osir.extraction import record_to_payload
+        row.update(record_to_payload(make_record()))
+        records_path = write_jsonl(tmp_path / "r.jsonl", [row])
+        result = runner.invoke(main, [
+            "aggregate", "--records", str(records_path),
+            "--corpus", str(corpus_path), "--out", str(tmp_path / "ind"),
+        ])
+        assert result.exit_code != 0
+        assert "'R9'" in result.output and "unknown article" in result.output
+
+
 class TestRun:
     def test_full_pipeline(self, runner, bundle, tmp_path):
         out_dir = tmp_path / "run"
@@ -252,3 +270,86 @@ class TestRun:
         with (out_dir / "indicators.csv").open() as fh:
             groups = [row["group"] for row in csv.DictReader(fh)]
         assert "Total" in groups and len(groups) > 1
+
+
+def build_unparseable_bundle(directory, seed, n_articles=120, samples=3):
+    """A replay bundle where 60% of the samples are unparseable: 12 in 120
+    articles have no parseable sample (unresolved verdicts), 72 have one
+    and 36 have two. Parseable samples vote on the booleans at random."""
+    rng = random.Random(seed)
+    directory.mkdir(parents=True, exist_ok=True)
+    unparseable = [3] * 12 + [2] * 72 + [1] * 36
+    rng.shuffle(unparseable)
+    corpus, gold, fixture = [], [], []
+    for i, bad in enumerate(unparseable[:n_articles]):
+        aid = f"syn-{seed}-{i:03d}"
+        accession, doi = f"PRJ{rng.randrange(10**6):06d}", f"10.1/x.{i}"
+        body = (f"# Study {i}\n\nReads are under {accession}; tables at "
+                f"{doi}. Earlier work by Author{i} et al. was reused.")
+        corpus.append(corpus_row(make_article(
+            aid, body, discipline=rng.choice(["Health Sciences",
+                                              "Life Sciences"]),
+            region=rng.choice(["Europe", "Asia"]))))
+        record = make_record(
+            new_data_generated=rng.random() < 0.5,
+            reuse_data=rng.random() < 0.5,
+            new_data_accessions=(accession,), new_data_dois=(doi,),
+            reuse_data_citations=(f"Author{i} et al.",),
+            new_data_description=rng.choice([None, "new reads"]))
+        gold.append(gold_row(GoldAnnotation(aid, record)))
+        bad_indices = set(rng.sample(range(samples), bad))
+        for s in range(samples):
+            if s in bad_indices:
+                text = rng.choice([
+                    f"No payload for study {i}.",
+                    '{"new_data_generated": "yes", "reuse_data": false}',
+                    '```json\n{"new_data_generated": true,\n```'])
+            else:
+                voted = replace(record,
+                                new_data_generated=rng.random() < 0.5,
+                                reuse_data=rng.random() < 0.5)
+                text = completion_text(voted, fenced=rng.random() < 0.5)
+            fixture.append({"article_id": aid, "sample_index": s,
+                            "text": text})
+    return {"corpus": write_jsonl(directory / "corpus.jsonl", corpus),
+            "gold": write_jsonl(directory / "gold.jsonl", gold),
+            "fixture": write_jsonl(directory / "fixture.jsonl", fixture)}
+
+
+class TestStageChain:
+    """extract --records -> score -> aggregate writes the same bytes as run."""
+
+    CHAIN_FILES = ("completions.jsonl", "records.jsonl", "rewards.jsonl",
+                   "indicators.csv", "summary.json")
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
+    def test_chain_equals_run(self, runner, tmp_path, seed):
+        if seed is None:
+            paths = build_replay_bundle(tmp_path / "in", n_articles=4)
+        else:
+            paths = build_unparseable_bundle(tmp_path / "in", seed)
+        corpus, gold = str(paths["corpus"]), str(paths["gold"])
+        replay = ["--backend", "replay", "--fixture", str(paths["fixture"])]
+        ran, chain = tmp_path / "run", tmp_path / "chain"
+        chain.mkdir()
+        for args in (
+            ["run", "--corpus", corpus, "--gold", gold, *replay,
+             "--out", str(ran)],
+            ["extract", "--corpus", corpus, *replay,
+             "--out", str(chain / "completions.jsonl"),
+             "--records", str(chain / "records.jsonl")],
+            ["score", "--corpus", corpus, "--gold", gold,
+             "--completions", str(chain / "completions.jsonl"),
+             "--out", str(chain / "rewards.jsonl")],
+            ["aggregate", "--corpus", corpus,
+             "--records", str(chain / "records.jsonl"), "--out", str(chain)],
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+        for name in self.CHAIN_FILES:
+            assert (chain / name).read_bytes() == (ran / name).read_bytes(), \
+                name
+        if seed is not None:
+            verdicts = [json.loads(line) for line in
+                        (ran / "verdicts.jsonl").read_text().splitlines()]
+            assert sum(v["unresolved"] for v in verdicts) == 12

@@ -5,11 +5,13 @@ import json
 import pytest
 
 from osir.extraction import (
+    CompletionsFileError,
     GoldFileError,
     RawCompletion,
     format_reward,
     load_completions,
     load_gold,
+    load_records,
     parse_extraction,
     record_to_payload,
     save_gold,
@@ -166,3 +168,55 @@ class TestFileInterfaces:
         save_gold(gold, path)
         with pytest.raises(GoldFileError, match="A1"):
             load_gold(path)
+
+
+def _lines(tmp_path, *lines: str):
+    """A file whose second line is each of *lines* in turn, after one valid
+    line, so that an error must name line 2."""
+    path = tmp_path / "input.jsonl"
+    valid = json.dumps({"article_id": "A0", "sample_index": 0, "text": "ok",
+                        **record_to_payload(make_record())})
+    for line in lines:
+        path.write_text(f"{valid}\n{line}\n", encoding="utf-8")
+        yield path
+
+
+class TestTotalLoaders:
+    """Bad lines raise the loader's own error with the line number; none
+    leaks AttributeError, TypeError or JSONDecodeError."""
+
+    @pytest.mark.parametrize("line", ["5", "null", '"s"', "[1]"])
+    def test_gold_non_object_line(self, tmp_path, line):
+        for path in _lines(tmp_path, line):
+            with pytest.raises(GoldFileError, match="line 2"):
+                load_gold(path)
+
+    @pytest.mark.parametrize("line", ["5", "null", "{not json"])
+    def test_records_bad_line(self, tmp_path, line):
+        for path in _lines(tmp_path, line):
+            with pytest.raises(CompletionsFileError, match="line 2"):
+                load_records(path)
+
+    @pytest.mark.parametrize("fields", [
+        {"text": 123},
+        {"sample_index": True},
+        {"article_id": ["A"]},
+        {"article_id": ""},
+        {"sample_index": -1},
+    ])
+    def test_completion_field_types(self, tmp_path, fields):
+        row = {"article_id": "A1", "sample_index": 0, "text": "t", **fields}
+        for path in _lines(tmp_path, json.dumps(row)):
+            with pytest.raises(CompletionsFileError, match="line 2"):
+                load_completions(path)
+
+    @pytest.mark.parametrize("fields", [
+        {"sample_index": "0"},
+        {"article_id": 7},
+    ])
+    def test_record_key_types(self, tmp_path, fields):
+        row = {"article_id": "A1", "sample_index": 0,
+               **record_to_payload(make_record()), **fields}
+        for path in _lines(tmp_path, json.dumps(row)):
+            with pytest.raises(CompletionsFileError, match="line 2"):
+                load_records(path)

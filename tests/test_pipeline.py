@@ -6,12 +6,37 @@ import time
 
 import pytest
 
+from click.testing import CliRunner
+
+import osir.evaluation
 import osir.pipeline
-from osir.config import load_config
-from osir.extraction import RawCompletion
-from osir.pipeline import PipelineError, file_digest, run_pipeline
+import osir.scoring
+from osir.cli import main
+from osir.config import PipelineConfig, load_config
+from osir.extraction import RawCompletion, parse_extraction
+from osir.pipeline import PipelineError, config_digest, file_digest, run_pipeline
 
 from conftest import build_replay_bundle
+
+
+class CountingBackend:
+    """Records the peak number of concurrent complete() calls."""
+
+    def __init__(self, delay=0.01):
+        self.lock = threading.Lock()
+        self.delay = delay
+        self.active = 0
+        self.peak = 0
+
+    def complete(self, prompt, n):
+        with self.lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        time.sleep(self.delay)
+        with self.lock:
+            self.active -= 1
+        return [RawCompletion(prompt.article_id, i, "no payload")
+                for i in range(n)]
 
 
 def replay_config(fixture_path, **kw):
@@ -93,23 +118,6 @@ class TestRunPipeline:
     def test_max_in_flight_bounds_concurrency(self, tmp_path, monkeypatch):
         paths = build_replay_bundle(tmp_path, n_articles=12)
         limit = 2
-
-        class CountingBackend:
-            def __init__(self):
-                self.lock = threading.Lock()
-                self.active = 0
-                self.peak = 0
-
-            def complete(self, prompt, n):
-                with self.lock:
-                    self.active += 1
-                    self.peak = max(self.peak, self.active)
-                time.sleep(0.01)
-                with self.lock:
-                    self.active -= 1
-                return [RawCompletion(prompt.article_id, i, "no payload")
-                        for i in range(n)]
-
         backend = CountingBackend()
         monkeypatch.setattr(osir.pipeline, "make_backend",
                             lambda config: backend)
@@ -156,3 +164,43 @@ class TestRunPipeline:
         finally:
             server.shutdown()
             thread.join(timeout=5)
+
+
+class TestSharedStages:
+    def test_extract_honours_max_in_flight(self, tmp_path, monkeypatch):
+        paths = build_replay_bundle(tmp_path, n_articles=12)
+        backend = CountingBackend(delay=0.02)
+        monkeypatch.setattr(osir.pipeline, "make_backend",
+                            lambda config: backend)
+        config_path = tmp_path / "osir.json"
+        config_path.write_text(json.dumps({"max_in_flight": 2}))
+        result = CliRunner().invoke(main, [
+            "extract", "--corpus", str(paths["corpus"]),
+            "--fixture", str(paths["fixture"]), "--config", str(config_path),
+            "--out", str(tmp_path / "completions.jsonl")])
+        assert result.exit_code == 0, result.output
+        assert backend.peak == 2
+
+    @pytest.mark.parametrize("with_gold", [True, False])
+    def test_each_completion_parsed_once(self, tmp_path, monkeypatch,
+                                         with_gold):
+        paths = build_replay_bundle(tmp_path, n_articles=5)
+        calls = []
+
+        def counting_parse(raw):
+            calls.append((raw.article_id, raw.sample_index))
+            return parse_extraction(raw)
+
+        for module in (osir.pipeline, osir.scoring, osir.evaluation):
+            monkeypatch.setattr(module, "parse_extraction", counting_parse)
+        run_pipeline(paths["corpus"], tmp_path / "out",
+                     replay_config(paths["fixture"]),
+                     gold_path=paths["gold"] if with_gold else None)
+        assert len(calls) == 15
+        assert len(set(calls)) == 15
+
+    def test_config_digest_is_pinned(self):
+        # The digest in manifest.json; it must not move when the payload
+        # derivation changes.
+        assert config_digest(PipelineConfig()) == \
+            "227de776d4e2788a50aaed32af628fbc4eb611c973e0300d1f14f46be0dce470"
