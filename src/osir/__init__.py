@@ -9,8 +9,6 @@ corpus-level indicators.
 from .corpus import (
     Article,
     PreparedPrompt,
-    TokenCounter,
-    WHITESPACE_COUNTER,
     build_prompt,
     count_tokens,
     load_corpus,
@@ -60,7 +58,7 @@ from .indicators import (
     resolve_verdict,
     trace_coverage,
 )
-from .backend import BackendConfig, complete
+from .backend import complete
 from .config import PipelineConfig, load_config
 from .pipeline import PipelineManifest, run_pipeline
 

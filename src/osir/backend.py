@@ -4,7 +4,8 @@ The HTTP contract is intentionally minimal so any model server can be
 adapted: POST {"prompt", "n", "params"} -> {"completions": [text, ...]},
 bearer auth from an environment variable. The replay backend serves
 pre-recorded completions keyed by (article_id, sample_index) for hermetic,
-bit-reproducible runs.
+bit-reproducible runs. Both read their settings from the PipelineConfig;
+make_backend checks the one setting its mode needs.
 """
 
 from __future__ import annotations
@@ -12,15 +13,20 @@ from __future__ import annotations
 import logging
 import os
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import requests
 
 from .corpus import PreparedPrompt
 from .extraction import RawCompletion, read_completions
 
+if TYPE_CHECKING:
+    from .config import PipelineConfig
+
 log = logging.getLogger(__name__)
+
+BACKEND_MODES = ("http", "replay")
 
 
 class BackendError(RuntimeError):
@@ -29,36 +35,6 @@ class BackendError(RuntimeError):
 
 class ReplayFixtureError(BackendError):
     pass
-
-
-@dataclass(frozen=True)
-class BackendConfig:
-    """How to reach (or simulate) the completion service."""
-
-    mode: str = "replay"  # "http" | "replay"
-    endpoint: str | None = None
-    auth_token_env: str = "OSIR_TOKEN"
-    fixture_path: str | None = None
-    samples_per_article: int = 3
-    max_in_flight: int = 4
-    timeout: float = 60.0
-    max_attempts: int = 3
-    backoff_base: float = 0.5
-    decode_params: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("http", "replay"):
-            raise ValueError(f"unknown backend mode: {self.mode!r}")
-        if self.samples_per_article < 1:
-            raise ValueError("samples_per_article must be >= 1")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.mode == "http" and not self.endpoint:
-            raise ValueError("http mode requires an endpoint")
-        if self.mode == "replay" and not self.fixture_path:
-            raise ValueError("replay mode requires a fixture path")
 
 
 class ReplayBackend:
@@ -87,7 +63,7 @@ class HttpBackend:
     backoff; 4xx responses fail immediately.
     """
 
-    def __init__(self, config: BackendConfig, session: requests.Session | None = None):
+    def __init__(self, config: PipelineConfig, session: requests.Session | None = None):
         self._config = config
         self._session = session or requests.Session()
 
@@ -145,14 +121,20 @@ class HttpBackend:
                 for i in range(n)]
 
 
-def make_backend(config: BackendConfig):
-    if config.mode == "replay":
-        return ReplayBackend(config.fixture_path)
-    return HttpBackend(config)
+def make_backend(config: PipelineConfig) -> ReplayBackend | HttpBackend:
+    """The backend that config.backend_mode names, once the setting that
+    mode needs is present."""
+    if config.backend_mode == "http":
+        if not config.endpoint:
+            raise ValueError("http mode requires an endpoint")
+        return HttpBackend(config)
+    if not config.fixture_path:
+        raise ValueError("replay mode requires a fixture path")
+    return ReplayBackend(config.fixture_path)
 
 
 def complete(prompt: PreparedPrompt, n: int,
-             config: BackendConfig) -> list[RawCompletion]:
+             config: PipelineConfig) -> list[RawCompletion]:
     """One-shot completion call; builds the backend from *config*.
 
     Returns exactly n completions with sample indices 0..n-1.

@@ -16,10 +16,11 @@ from pathlib import Path
 
 import click
 
+from .backend import BACKEND_MODES
 from .config import load_config
 from .corpus import load_corpus
 from .evaluation import (
-    FlagRules,
+    PASS1_MODES,
     build_sample_sets,
     build_eval_report,
     flag_disagreements,
@@ -34,7 +35,8 @@ from .extraction import (
     save_completions,
     save_gold,
 )
-from .grounding import filter_gold
+from .grounding import EMBELLISHMENT_MODES, filter_gold
+from .indicators import GROUPINGS
 from .jsonl import write_jsonl
 from .pipeline import (
     aggregate_stage,
@@ -84,7 +86,7 @@ def ingest(corpus_path: str, validate: bool) -> None:
 
 @main.command()
 @click.option("--corpus", "corpus_path", required=True, type=click.Path())
-@click.option("--backend", "backend_mode", type=click.Choice(["http", "replay"]),
+@click.option("--backend", "backend_mode", type=click.Choice(BACKEND_MODES),
               default=None, help="Completion backend.")
 @click.option("--fixture", "fixture_path", type=click.Path(), default=None,
               help="Replay fixture file (replay mode).")
@@ -118,7 +120,7 @@ def extract(corpus_path: str, out_path: str, records_path: str | None,
 @click.option("--gold", "gold_path", required=True, type=click.Path())
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--embellishment", "embellishment_mode",
-              type=click.Choice(["fraction", "binary"]), default=None)
+              type=click.Choice(EMBELLISHMENT_MODES), default=None)
 @click.option("--min-reward", type=float, default=None,
               help="With --select, keep only rewards >= this value.")
 @click.option("--select", is_flag=True, default=False,
@@ -149,7 +151,7 @@ def score(corpus_path: str, completions_path: str, gold_path: str,
 @click.option("--gold", "gold_path", required=True, type=click.Path())
 @click.option("--samples", "samples_per_article", type=int, default=None,
               help="Expected samples per article.")
-@click.option("--pass1", "pass1_mode", type=click.Choice(["mean", "first"]),
+@click.option("--pass1", "pass1_mode", type=click.Choice(PASS1_MODES),
               default=None)
 @click.option("--flag-floor", "f1_floor", type=float, default=None,
               help="Best-sample F1 floor below which articles get flagged.")
@@ -165,8 +167,7 @@ def eval_command(completions_path: str, gold_path: str, out_path: str,
                                     overrides["samples_per_article"])
         report = build_eval_report(samples, gold, config.pass1_mode,
                                    config.thresholds())
-        flagged = flag_disagreements(samples, gold,
-                                     FlagRules(f1_floor=config.f1_floor),
+        flagged = flag_disagreements(samples, gold, config.f1_floor,
                                      config.thresholds())
         save_report(report, out_path)
     click.echo(render_report_table(report))
@@ -207,8 +208,7 @@ def filter_gold_command(corpus_path: str, gold_path: str, kept_path: str,
 @click.option("--records", "records_path", required=True, type=click.Path())
 @click.option("--corpus", "corpus_path", required=True, type=click.Path())
 @click.option("--by", "group_by",
-              type=click.Choice(["discipline", "region", "total"]),
-              default=None)
+              type=click.Choice(GROUPINGS), default=None)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--config", "config_path", type=click.Path(), default=None)
 def aggregate(records_path: str, corpus_path: str, out_dir: str,
@@ -240,14 +240,13 @@ def aggregate(records_path: str, corpus_path: str, out_dir: str,
 @click.option("--corpus", "corpus_path", required=True, type=click.Path())
 @click.option("--gold", "gold_path", type=click.Path(), default=None)
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--backend", "backend_mode", type=click.Choice(["http", "replay"]),
+@click.option("--backend", "backend_mode", type=click.Choice(BACKEND_MODES),
               default=None)
 @click.option("--fixture", "fixture_path", type=click.Path(), default=None)
 @click.option("--endpoint", default=None)
 @click.option("--samples", "samples_per_article", type=int, default=None)
 @click.option("--by", "group_by",
-              type=click.Choice(["discipline", "region", "total"]),
-              default=None)
+              type=click.Choice(GROUPINGS), default=None)
 @click.option("--config", "config_path", type=click.Path(), default=None)
 def run(corpus_path: str, gold_path: str | None, out_dir: str,
         config_path: str | None, **overrides) -> None:

@@ -1,7 +1,13 @@
-"""Pipeline configuration: defaults, config file, and OSIR_* env overrides.
+"""Pipeline configuration: the one declaration and check of every setting.
 
-Precedence (lowest to highest): built-in defaults, JSON config file,
-environment variables, explicit CLI flags.
+Each setting is a PipelineConfig field, declared once with its default;
+config file keys, OSIR_* environment variables and the CLI options named
+after a field all derive from it. Precedence (lowest to highest): built-in
+defaults, JSON config file, environment variables, explicit CLI flags.
+PipelineConfig checks every value when it is built, so a bad value raises
+ConfigError from load_config before any stage runs. Only the settings of one
+backend mode (an endpoint, a fixture) are checked by make_backend, because
+the stages that build no backend do not need them.
 """
 
 from __future__ import annotations
@@ -11,10 +17,22 @@ import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .backend import BackendConfig
-from .grounding import Thresholds
+from .backend import BACKEND_MODES
+from .evaluation import PASS1_MODES
+from .grounding import EMBELLISHMENT_MODES, Thresholds
+from .indicators import GROUPINGS
 
 ENV_PREFIX = "OSIR_"
+
+#: Field -> the values it may take.
+CHOICES = {"embellishment_mode": EMBELLISHMENT_MODES, "pass1_mode": PASS1_MODES,
+           "group_by": GROUPINGS, "backend_mode": BACKEND_MODES}
+#: Fields that must be at least 1.
+AT_LEAST_ONE = ("samples_per_article", "max_in_flight", "max_attempts")
+
+
+class ConfigError(ValueError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -38,24 +56,24 @@ class PipelineConfig:
     backoff_base: float = 0.5
     decode_params: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigError(f"{name} must be one of "
+                                  f"{', '.join(allowed)}; got {value!r}")
+        for name in AT_LEAST_ONE:
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be at least 1; got {value}")
+
     def thresholds(self) -> Thresholds:
         return Thresholds(identifier=self.threshold_identifier,
                           citation=self.threshold_citation)
 
-    def backend(self) -> BackendConfig:
-        """The backend settings: every BackendConfig field of the same name,
-        with backend_mode as its mode."""
-        shared = {f.name: getattr(self, f.name) for f in fields(BackendConfig)
-                  if f.name != "mode"}
-        return BackendConfig(mode=self.backend_mode, **shared)
-
 
 #: Field name -> annotated type name ("int", "float", "str | None", ...).
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _coerce(key: str, value) -> object:

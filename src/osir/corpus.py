@@ -11,7 +11,7 @@ import datetime as _dt
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .jsonl import iter_jsonl, write_jsonl
 from .text import normalize_text, token_spans, whitespace_token_count
@@ -91,18 +91,6 @@ class Article:
 
 
 @dataclass(frozen=True)
-class TokenCounter:
-    """A named, deterministic pure function from string to token count."""
-
-    name: str
-    count: Callable[[str], int]
-
-
-#: Default counter: number of maximal non-whitespace runs.
-WHITESPACE_COUNTER = TokenCounter(name="whitespace", count=whitespace_token_count)
-
-
-@dataclass(frozen=True)
 class PreparedPrompt:
     """Prompt text ready for a completion backend."""
 
@@ -112,8 +100,9 @@ class PreparedPrompt:
     truncated: bool
 
 
-def count_tokens(text: str, counter: TokenCounter = WHITESPACE_COUNTER) -> int:
-    return counter.count(text)
+def count_tokens(text: str) -> int:
+    """The number of maximal non-whitespace runs in *text*."""
+    return whitespace_token_count(text)
 
 
 def _article_from_payload(payload: dict, line_no: int) -> Article:
@@ -123,21 +112,21 @@ def _article_from_payload(payload: dict, line_no: int) -> Article:
         raise CorpusError(f"line {line_no}: missing or empty 'id'")
     if not isinstance(body, str) or not body:
         raise CorpusError(f"line {line_no}: missing or empty 'body_markdown'")
+    for key in ("title", "region", "published"):
+        if payload.get(key) is not None and not isinstance(payload[key], str):
+            raise CorpusError(
+                f"line {line_no}: {key!r} must be a string if present")
     discipline = payload.get("discipline") or "Unknown"
     if discipline not in DISCIPLINES:
         discipline = "Unknown"
-    region = payload.get("region") or "Unknown"
-    published = payload.get("published")
-    if published is not None and not isinstance(published, str):
-        raise CorpusError(f"line {line_no}: 'published' must be a string if present")
     try:
         return Article(
             id=art_id,
             title=payload.get("title") or "",
             body=body,
             discipline=discipline,
-            region=str(region),
-            published=published,
+            region=payload.get("region") or "Unknown",
+            published=payload.get("published"),
         )
     except ValueError as exc:
         raise CorpusError(f"line {line_no}: {exc}") from exc
@@ -181,62 +170,38 @@ def save_corpus(articles: Iterable[Article], path: str | Path) -> None:
     write_jsonl(path, map(article_to_payload, articles))
 
 
-def truncate_middle(
-    text: str,
-    budget: int,
-    counter: TokenCounter = WHITESPACE_COUNTER,
-) -> tuple[str, bool]:
+def truncate_middle(text: str, budget: int) -> tuple[str, bool]:
     """Truncate *text* to at most *budget* tokens, cutting from the middle.
 
     Returns (text, truncated). When the text fits the budget it is returned
     unchanged. Otherwise the first ceil((budget - m) / 2) tokens and the last
-    floor((budget - m) / 2) tokens are kept (m = the marker's own token cost
-    under *counter*), joined by the marker on its own line. Original
-    whitespace inside the kept prefix and suffix is preserved.
+    floor((budget - m) / 2) tokens are kept (m = the marker's own token
+    count), joined by the marker on its own line, which makes exactly
+    *budget* tokens. Original whitespace inside the kept prefix and suffix is
+    preserved.
 
     Odd remainders favor the prefix; the first and last tokens of an
-    over-budget input always survive. Idempotent for fixed (budget, counter).
+    over-budget input always survive. Idempotent for a fixed budget.
     """
-    marker_cost = counter.count(TRUNCATION_MARKER)
+    marker_cost = count_tokens(TRUNCATION_MARKER)
     if budget < marker_cost + 2:
         raise ValueError(
             f"budget {budget} too small: need the marker ({marker_cost} tokens) "
             f"plus at least one token on each side"
         )
-    if counter.count(text) <= budget:
+    if count_tokens(text) <= budget:
         return text, False
 
     spans = token_spans(text)
-    n = len(spans)
     keep = budget - marker_cost
-    prefix_n = (keep + 1) // 2
-    suffix_n = keep // 2
-
-    def assemble(p: int, s: int) -> str:
-        prefix = text[spans[0][0] : spans[p - 1][1]]
-        suffix = text[spans[n - s][0] : spans[n - 1][1]]
-        return f"{prefix}\n{TRUNCATION_MARKER}\n{suffix}"
-
-    out = assemble(prefix_n, suffix_n)
-    # Whitespace counting makes this exact; a custom counter may count the
-    # reassembled text differently, so shrink until the budget holds.
-    while counter.count(out) > budget:
-        if suffix_n > 1 and suffix_n >= prefix_n:
-            suffix_n -= 1
-        elif prefix_n > 1:
-            prefix_n -= 1
-        else:
-            raise ValueError(
-                f"budget {budget} too small under counter {counter.name!r}"
-            )
-        out = assemble(prefix_n, suffix_n)
-    return out, True
+    prefix = text[spans[0][0] : spans[(keep + 1) // 2 - 1][1]]
+    suffix = text[spans[-(keep // 2)][0] : spans[-1][1]]
+    return f"{prefix}\n{TRUNCATION_MARKER}\n{suffix}", True
 
 
 def build_prompt(
     article: Article,
     budget: int = DEFAULT_TOKEN_BUDGET,
-    counter: TokenCounter = WHITESPACE_COUNTER,
 ) -> PreparedPrompt:
     """Assemble the instruction preamble and (possibly truncated) article body.
 
@@ -244,13 +209,12 @@ def build_prompt(
     whatever remains. Deterministic: the same article always yields a
     byte-identical prompt.
     """
-    preamble_cost = counter.count(PROMPT_PREAMBLE)
-    body_budget = budget - preamble_cost
-    body, truncated = truncate_middle(article.body, body_budget, counter)
+    body_budget = budget - count_tokens(PROMPT_PREAMBLE)
+    body, truncated = truncate_middle(article.body, body_budget)
     prompt_text = f"{PROMPT_PREAMBLE}\n{body}"
     return PreparedPrompt(
         article_id=article.id,
         text=prompt_text,
-        token_count=counter.count(prompt_text),
+        token_count=count_tokens(prompt_text),
         truncated=truncated,
     )

@@ -53,11 +53,6 @@ class EvalReport:
 
 
 @dataclass(frozen=True)
-class FlagRules:
-    f1_floor: float = 0.5
-
-
-@dataclass(frozen=True)
 class FlaggedArticle:
     article_id: str
     reasons: tuple[str, ...]
@@ -191,7 +186,7 @@ def evaluate_list_field(
 def flag_disagreements(
     samples: list[SampleSet],
     gold: list[GoldAnnotation],
-    rules: FlagRules = FlagRules(),
+    f1_floor: float = 0.5,
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
 ) -> list[FlaggedArticle]:
     """Articles whose samples disagree with gold enough to warrant review.
@@ -212,9 +207,9 @@ def flag_disagreements(
         for name in LIST_FIELDS:
             f1 = _list_f1(name, thresholds.for_field(name))
             best = max((f1(r, want) for r in parsed), default=0.0)
-            if best < rules.f1_floor:
+            if best < f1_floor:
                 reasons.append(
-                    f"{name} best F1 {best:.2f} below floor {rules.f1_floor:.2f}")
+                    f"{name} best F1 {best:.2f} below floor {f1_floor:.2f}")
         if reasons:
             flagged.append(FlaggedArticle(s.article_id, tuple(reasons)))
     return flagged

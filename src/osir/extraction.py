@@ -102,14 +102,15 @@ def _first_json_object(text: str) -> dict | None:
     """The first parseable JSON object embedded in *text*, if any.
 
     Tolerates surrounding prose and markdown code fences: scanning starts at
-    each '{' and takes the first position where a JSON value decodes.
+    each '{' and takes the first position where a JSON value decodes. A value
+    nested too deeply to decode counts as one that does not decode.
     """
     decoder = json.JSONDecoder()
     pos = text.find("{")
     while pos != -1:
         try:
             value, _ = decoder.raw_decode(text, pos)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             pos = text.find("{", pos + 1)
             continue
         return value if isinstance(value, dict) else None

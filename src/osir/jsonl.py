@@ -17,19 +17,25 @@ def iter_jsonl(path: str | Path, error_cls: type[Exception],
                what: str = "file") -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of *path*.
 
-    Raises *error_cls* for a missing file ("<what> not found"), and for
-    invalid JSON or a line that is not a JSON object, naming the line.
+    Raises *error_cls* for a missing file ("<what> not found"), and for a
+    line that is not UTF-8, not JSON or not a JSON object, naming the line.
     """
     path = Path(path)
     if not path.exists():
         raise error_cls(f"{what} not found: {path}")
-    with path.open(encoding="utf-8") as fh:
+    # Undecodable bytes become lone surrogates, found line by line below.
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise error_cls(f"line {line_no}: not UTF-8 text") from None
+            try:
                 payload = json.loads(line)
-            except ValueError as exc:  # also an integer too long to convert
+            except (ValueError, RecursionError) as exc:  # ValueError: also
+                # an integer too long to convert
                 raise error_cls(f"line {line_no}: invalid JSON "
                                 f"({getattr(exc, 'msg', exc)})") from exc
             if not isinstance(payload, dict):

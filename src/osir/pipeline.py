@@ -146,7 +146,7 @@ def complete_stage(prompts: list[PreparedPrompt],
     The first failed request aborts the stage."""
     n = config.samples_per_article
     with _failing_as("complete"):
-        backend = make_backend(config.backend())
+        backend = make_backend(config)
         with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
             batches = list(pool.map(lambda p: backend.complete(p, n), prompts))
     return sorted((c for batch in batches for c in batch),

@@ -8,7 +8,6 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from osir.backend import (
-    BackendConfig,
     BackendError,
     HttpBackend,
     ReplayBackend,
@@ -16,6 +15,7 @@ from osir.backend import (
     complete,
     make_backend,
 )
+from osir.config import ConfigError, PipelineConfig
 from osir.corpus import PreparedPrompt
 
 from conftest import write_jsonl
@@ -26,24 +26,27 @@ def prompt_for(article_id: str) -> PreparedPrompt:
                           token_count=3, truncated=False)
 
 
-class TestBackendConfig:
+class TestBackendSettings:
     def test_replay_needs_fixture(self):
         with pytest.raises(ValueError, match="fixture"):
-            BackendConfig(mode="replay", fixture_path=None)
+            make_backend(PipelineConfig(backend_mode="replay",
+                                        fixture_path=None))
 
     def test_http_needs_endpoint(self):
         with pytest.raises(ValueError, match="endpoint"):
-            BackendConfig(mode="http", endpoint=None)
+            make_backend(PipelineConfig(backend_mode="http", endpoint=None))
 
     def test_bad_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            BackendConfig(mode="grpc", fixture_path="x")
+        with pytest.raises(ConfigError, match="backend_mode"):
+            PipelineConfig(backend_mode="grpc", fixture_path="x")
 
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            BackendConfig(mode="replay", fixture_path="x", samples_per_article=0)
-        with pytest.raises(ValueError):
-            BackendConfig(mode="replay", fixture_path="x", max_in_flight=0)
+    @pytest.mark.parametrize("field", ["samples_per_article", "max_in_flight",
+                                       "max_attempts"])
+    def test_bounds(self, field):
+        with pytest.raises(ConfigError, match=f"{field} must be at least 1"):
+            PipelineConfig(fixture_path="x", **{field: 0})
+        assert getattr(PipelineConfig(fixture_path="x", **{field: 1}),
+                       field) == 1
 
 
 class TestReplayBackend:
@@ -101,7 +104,7 @@ class TestReplayBackend:
         path = self.fixture(tmp_path, [
             {"article_id": "A", "sample_index": 0, "text": "only"},
         ])
-        config = BackendConfig(mode="replay", fixture_path=str(path))
+        config = PipelineConfig(backend_mode="replay", fixture_path=str(path))
         out = complete(prompt_for("A"), 1, config)
         assert len(out) == 1 and out[0].text == "only"
 
@@ -142,15 +145,16 @@ def flaky_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/complete"
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 
 class TestHttpBackend:
-    def config(self, endpoint: str, **kw) -> BackendConfig:
-        defaults = dict(mode="http", endpoint=endpoint, max_attempts=3,
-                        backoff_base=0.01, timeout=5.0)
+    def config(self, endpoint: str, **kw) -> PipelineConfig:
+        defaults = dict(backend_mode="http", endpoint=endpoint,
+                        max_attempts=3, backoff_base=0.01, timeout=5.0)
         defaults.update(kw)
-        return BackendConfig(**defaults)
+        return PipelineConfig(**defaults)
 
     def test_fails_twice_then_succeeds_with_two_retries_logged(
             self, flaky_server, caplog):
@@ -196,8 +200,8 @@ class TestHttpBackend:
         fixture = write_jsonl(tmp_path / "f.jsonl",
                               [{"article_id": "A", "sample_index": 0,
                                 "text": "t"}])
-        replay = make_backend(BackendConfig(mode="replay",
-                                            fixture_path=str(fixture)))
+        replay = make_backend(PipelineConfig(backend_mode="replay",
+                                             fixture_path=str(fixture)))
         assert isinstance(replay, ReplayBackend)
         http = make_backend(self.config(flaky_server))
         assert isinstance(http, HttpBackend)

@@ -271,6 +271,34 @@ class TestRun:
             groups = [row["group"] for row in csv.DictReader(fh)]
         assert "Total" in groups and len(groups) > 1
 
+    def test_bad_config_value_fails_before_any_stage(self, runner, bundle,
+                                                     tmp_path):
+        config_path = tmp_path / "osir.json"
+        config_path.write_text(json.dumps({
+            "fixture_path": str(bundle["fixture"]), "group_by": "country"}))
+        out_dir = tmp_path / "run"
+        result = runner.invoke(main, [
+            "run", "--corpus", str(bundle["corpus"]),
+            "--out", str(out_dir), "--config", str(config_path),
+        ])
+        assert result.exit_code != 0
+        assert "group_by must be one of" in result.output
+        assert not (out_dir / "completions.jsonl").exists()
+
+    def test_bad_env_value_fails_when_no_sample_parses(self, runner, bundle,
+                                                       tmp_path):
+        # No stage reads embellishment_mode when nothing parses.
+        fixture = write_jsonl(tmp_path / "prose.jsonl", [
+            {"article_id": f"art-{i:03d}", "sample_index": s,
+             "text": "no payload"} for i in range(4) for s in range(3)])
+        result = runner.invoke(main, [
+            "run", "--corpus", str(bundle["corpus"]),
+            "--gold", str(bundle["gold"]), "--backend", "replay",
+            "--fixture", str(fixture), "--out", str(tmp_path / "run"),
+        ], env={"OSIR_EMBELLISHMENT_MODE": "binry"})
+        assert result.exit_code != 0
+        assert "embellishment_mode must be one of" in result.output
+
 
 def build_unparseable_bundle(directory, seed, n_articles=120, samples=3):
     """A replay bundle where 60% of the samples are unparseable: 12 in 120

@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from osir.config import ConfigError, load_config
+from osir.config import (
+    AT_LEAST_ONE,
+    CHOICES,
+    ConfigError,
+    PipelineConfig,
+    load_config,
+)
 
 
 def test_defaults():
@@ -72,6 +78,36 @@ def test_derived_objects():
     config = load_config(env={}, fixture_path="f.jsonl")
     thresholds = config.thresholds()
     assert thresholds.identifier == 0.95
-    backend = config.backend()
-    assert backend.mode == "replay"
-    assert backend.fixture_path == "f.jsonl"
+    assert config.backend_mode == "replay"
+    assert config.fixture_path == "f.jsonl"
+
+
+@pytest.mark.parametrize("key", sorted(CHOICES))
+def test_every_allowed_value_loads(key):
+    for value in CHOICES[key]:
+        assert getattr(load_config(env={}, **{key: value}), key) == value
+
+
+@pytest.mark.parametrize("key, value", [
+    ("embellishment_mode", "binry"),
+    ("pass1_mode", "best"),
+    ("group_by", "country"),
+    ("backend_mode", "grpc"),
+    *((key, 0) for key in AT_LEAST_ONE),
+    ("max_attempts", -1),
+])
+def test_bad_file_value_fails_when_loaded(tmp_path, key, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: value}))
+    with pytest.raises(ConfigError, match=key):
+        load_config(path, env={})
+
+
+def test_bad_env_choice_fails_when_loaded():
+    with pytest.raises(ConfigError, match="embellishment_mode must be one of"):
+        load_config(env={"OSIR_EMBELLISHMENT_MODE": "binry"})
+
+
+def test_max_in_flight_zero_rejected():
+    with pytest.raises(ConfigError, match="max_in_flight must be at least 1"):
+        PipelineConfig(max_in_flight=0)

@@ -68,6 +68,30 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="ISO-8601"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("fields", [
+        {"title": 5},
+        {"title": ["T"]},
+        {"region": ["x"]},
+        {"region": 3},
+        {"published": 20240115},
+    ])
+    def test_metadata_must_be_strings(self, tmp_path, fields):
+        rows = [{"id": "A1", "body_markdown": "x"},
+                {"id": "A2", "body_markdown": "y", **fields}]
+        path = write_jsonl(tmp_path / "meta.jsonl", rows)
+        key = next(iter(fields))
+        with pytest.raises(CorpusError, match=f"line 2: '{key}' must be a"):
+            load_corpus(path)
+
+    def test_null_or_absent_metadata_keeps_defaults(self, tmp_path):
+        rows = [{"id": "A1", "body_markdown": "x", "title": None,
+                 "region": None, "published": None},
+                {"id": "A2", "body_markdown": "y"}]
+        path = write_jsonl(tmp_path / "meta.jsonl", rows)
+        for article in load_corpus(path):
+            assert (article.title, article.region, article.published) == \
+                ("", "Unknown", None)
+
     def test_round_trip(self, tmp_path, tmp_corpus_file):
         arts = [
             make_article("A1", "alpha beta", discipline="Life Sciences"),

@@ -6,7 +6,6 @@ import pytest
 
 from osir.evaluation import (
     EvaluationError,
-    FlagRules,
     SampleSet,
     build_eval_report,
     build_sample_sets,
@@ -186,7 +185,7 @@ class TestFlagDisagreements:
             make_record(reuse_data_citations=("Alpha et al. 2019",
                                               "Unrelated 1987")),
         ] * 3)]
-        assert flag_disagreements(samples, gold, FlagRules(f1_floor=0.3)) == []
+        assert flag_disagreements(samples, gold, f1_floor=0.3) == []
 
 
 class TestBuildEvalReport:

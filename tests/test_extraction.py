@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from osir.extraction import (
     CompletionsFileError,
@@ -84,6 +86,20 @@ class TestParseExtraction:
         for text in ["", "{", "{{{", "{}", "[1, 2]", "{'single': 'quotes'}"]:
             outcome = outcome_for(text)
             assert not outcome.parsed
+
+    @pytest.mark.parametrize("text", [
+        '{"x": ' + "[" * 1000,
+        '{"x": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ], ids=["unclosed", "closed"])
+    def test_nesting_too_deep_is_a_format_failure(self, text):
+        outcome = outcome_for(text)
+        assert not outcome.parsed
+        assert outcome.failure_reason == "no structured payload found"
+
+    @given(text=st.text() | st.text(alphabet='{}[]":, 0tf', max_size=2000))
+    def test_any_text_yields_an_outcome(self, text):
+        outcome = outcome_for(text)
+        assert outcome.parsed == (outcome.record is not None)
 
     def test_round_trip(self):
         record = make_record(

@@ -47,6 +47,27 @@ class TestIterJsonl:
         with pytest.raises(LineError, match=f"line 2: {reason}"):
             list(iter_jsonl(path, LineError))
 
+    @pytest.mark.parametrize("line", [b"\xff\xfe", b'{"a": "\xe9"}',
+                                      b'{"a": "x\xed\xa0\x80"}'],
+                             ids=["bom16", "latin1", "surrogate"])
+    def test_line_not_utf8_names_its_number(self, tmp_path, line):
+        path = tmp_path / "x.jsonl"
+        path.write_bytes(b'{"a": 1}\n' + line + b"\n")
+        with pytest.raises(LineError, match="line 2: not UTF-8 text"):
+            list(iter_jsonl(path, LineError))
+
+    def test_nesting_too_deep_is_invalid_json(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"a": 1}\n' + "[" * 100_000 + "\n", encoding="utf-8")
+        with pytest.raises(LineError, match="line 2: invalid JSON"):
+            list(iter_jsonl(path, LineError))
+
+    def test_crlf_lines_load(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        path.write_bytes('{"a": "é"}\r\n\r\n{"b": 2}\r\n'.encode("utf-8"))
+        assert list(iter_jsonl(path, LineError)) == [(1, {"a": "é"}),
+                                                     (3, {"b": 2})]
+
     def test_writer_sorts_keys_and_keeps_unicode(self, tmp_path):
         path = tmp_path / "x.jsonl"
         write_jsonl(path, [{"b": "é", "a": (1, 2)}, {}])
@@ -55,7 +76,7 @@ class TestIterJsonl:
 
 
 # ---------------------------------------------------------------------------
-# Property: every loader is total on any JSON value
+# Property: every loader is total on any bytes
 
 _KEYS = ("id", "title", "body_markdown", "discipline", "region", "published",
          "article_id", "sample_index", "text", *SCORED_FIELDS,
@@ -86,12 +107,29 @@ _LOADERS = (
 )
 
 
+_json_lines = (_rows | _json).map(
+    lambda value: json.dumps(value, ensure_ascii=False).encode("utf-8"))
+
+
+def _splice(line: bytes, raw: bytes, at: int) -> bytes:
+    at %= len(line) + 1
+    return line[:at] + raw + line[at:]
+
+
+# Lines of JSON text, some with raw bytes spliced in, and arbitrary bytes.
+_lines = st.one_of(
+    _json_lines,
+    st.builds(_splice, _json_lines, st.binary(min_size=1, max_size=4),
+              st.integers(0, 10**6)),
+    st.binary())
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(value=_rows | _json)
-def test_loaders_load_or_raise_their_error(tmp_path, value):
+@given(lines=st.lists(_lines, min_size=1, max_size=3))
+def test_loaders_load_or_raise_their_error(tmp_path, lines):
     path = tmp_path / "line.jsonl"
-    path.write_text(json.dumps(value) + "\n", encoding="utf-8")
+    path.write_bytes(b"\n".join(lines) + b"\n")
     for load, error in _LOADERS:
         try:
             load(path)

@@ -163,6 +163,7 @@ class TestRunPipeline:
             assert all(v["unresolved"] for v in verdicts)
         finally:
             server.shutdown()
+            server.server_close()
             thread.join(timeout=5)
 
 
