@@ -5,14 +5,21 @@ adapted: POST {"prompt", "n", "params"} -> {"completions": [text, ...]},
 bearer auth from an environment variable. The replay backend serves
 pre-recorded completions keyed by (article_id, sample_index) for hermetic,
 bit-reproducible runs. Both read their settings from the PipelineConfig;
-make_backend checks the one setting its mode needs.
+make_backend checks the one setting its mode needs. A backend's complete()
+makes one attempt; complete_all schedules the attempts of many prompts and
+their retries for both.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
+import math
 import os
+import threading
 import time
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -37,6 +44,17 @@ class ReplayFixtureError(BackendError):
     pass
 
 
+class RetryableError(BackendError):
+    """A failed attempt worth repeating: a transport error, 429 or 5xx.
+
+    retry_after is the delay in seconds the server asked for, if any.
+    """
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
+
+
 class ReplayBackend:
     """Serves pre-recorded completions; fails loudly on a missing key."""
 
@@ -57,15 +75,22 @@ class ReplayBackend:
 
 
 class HttpBackend:
-    """Talks to a prompt-in/text-out completion endpoint with retries.
+    """Talks to a prompt-in/text-out completion endpoint, one request per call.
 
-    Retries only transport errors and 5xx responses, with exponential
-    backoff; 4xx responses fail immediately.
+    A transport error, 429 or 5xx raises RetryableError; any other 4xx or a
+    malformed response raises BackendError. Each thread posts through a
+    requests.Session of its own.
     """
 
-    def __init__(self, config: PipelineConfig, session: requests.Session | None = None):
+    def __init__(self, config: PipelineConfig):
         self._config = config
-        self._session = session or requests.Session()
+        self._local = threading.local()
+
+    def _session(self) -> requests.Session:
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+        return session
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -77,32 +102,21 @@ class HttpBackend:
     def complete(self, prompt: PreparedPrompt, n: int) -> list[RawCompletion]:
         cfg = self._config
         body = {"prompt": prompt.text, "n": n, "params": cfg.decode_params}
-        last_error: str = ""
-        for attempt in range(1, cfg.max_attempts + 1):
-            try:
-                response = self._session.post(
-                    cfg.endpoint, json=body, headers=self._headers(),
-                    timeout=cfg.timeout)
-            except requests.RequestException as exc:
-                last_error = f"transport error: {exc}"
-            else:
-                if response.status_code == 200:
-                    return self._completions_from(response, prompt, n)
-                if 500 <= response.status_code < 600:
-                    last_error = f"server error {response.status_code}"
-                else:
-                    raise BackendError(
-                        f"backend rejected request for {prompt.article_id!r}: "
-                        f"HTTP {response.status_code}")
-            if attempt < cfg.max_attempts:
-                delay = cfg.backoff_base * (2 ** (attempt - 1))
-                log.warning("retrying %s after %s (attempt %d/%d, waiting %.2fs)",
-                            prompt.article_id, last_error, attempt,
-                            cfg.max_attempts, delay)
-                time.sleep(delay)
-        raise BackendError(
-            f"backend unreachable for {prompt.article_id!r} after "
-            f"{cfg.max_attempts} attempts: {last_error}")
+        try:
+            response = self._session().post(
+                cfg.endpoint, json=body, headers=self._headers(),
+                timeout=cfg.timeout)
+        except requests.RequestException as exc:
+            raise RetryableError(f"transport error: {exc}") from exc
+        status = response.status_code
+        if status == 200:
+            return self._completions_from(response, prompt, n)
+        if status == 429 or 500 <= status < 600:
+            raise RetryableError(
+                f"HTTP {status}",
+                _retry_after(response.headers.get("Retry-After")))
+        raise BackendError(f"backend rejected request for "
+                           f"{prompt.article_id!r}: HTTP {status}")
 
     @staticmethod
     def _completions_from(response: requests.Response, prompt: PreparedPrompt,
@@ -121,6 +135,15 @@ class HttpBackend:
                 for i in range(n)]
 
 
+def _retry_after(header: str | None) -> float | None:
+    """A Retry-After header given as a non-negative number of seconds."""
+    try:
+        value = float(header)
+    except (TypeError, ValueError):
+        return None
+    return value if math.isfinite(value) and value >= 0 else None
+
+
 def make_backend(config: PipelineConfig) -> ReplayBackend | HttpBackend:
     """The backend that config.backend_mode names, once the setting that
     mode needs is present."""
@@ -135,8 +158,62 @@ def make_backend(config: PipelineConfig) -> ReplayBackend | HttpBackend:
 
 def complete(prompt: PreparedPrompt, n: int,
              config: PipelineConfig) -> list[RawCompletion]:
-    """One-shot completion call; builds the backend from *config*.
+    """One-shot completion call; builds the backend from *config* and
+    retries as complete_all does.
 
     Returns exactly n completions with sample indices 0..n-1.
     """
-    return make_backend(config).complete(prompt, n)
+    return complete_all(make_backend(config), [prompt], n, config)[0]
+
+
+def complete_all(backend: ReplayBackend | HttpBackend,
+                 prompts: list[PreparedPrompt], n: int,
+                 config: PipelineConfig) -> list[list[RawCompletion]]:
+    """backend.complete(prompt, n) of every prompt, in prompt order.
+
+    At most max_in_flight attempts run at a time, on as many threads. A
+    RetryableError sends its prompt to wait out a delay, the server's
+    Retry-After if it gave one, else backoff_base * 2**(attempt - 1), and
+    the freed slot takes the next prompt; once the delay is over the prompt
+    queues behind those not yet sent. The max_attempts-th failure, or any
+    other error, is fatal: no attempt starts after it, the ones already
+    running finish, and the error is raised.
+    """
+    results: list[list[RawCompletion]] = [[] for _ in prompts]
+    ready = deque((index, 1) for index in range(len(prompts)))
+    waiting: list[tuple[float, int, int]] = []  # (due, index, attempt)
+    running: dict[Future, tuple[int, int]] = {}
+    with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
+        while ready or waiting or running:
+            while waiting and waiting[0][0] <= time.monotonic():
+                _, index, attempt = heapq.heappop(waiting)
+                ready.append((index, attempt))
+            while ready and len(running) < config.max_in_flight:
+                index, attempt = ready.popleft()
+                future = pool.submit(backend.complete, prompts[index], n)
+                running[future] = (index, attempt)
+            timeout = (max(0.0, waiting[0][0] - time.monotonic())
+                       if waiting else None)
+            if not running:  # wait() returns at once when given no futures
+                time.sleep(timeout)
+                continue
+            done, _ = wait(running, timeout=timeout,
+                           return_when=FIRST_COMPLETED)
+            for future in done:
+                index, attempt = running.pop(future)
+                try:
+                    results[index] = future.result()
+                except RetryableError as exc:
+                    article_id = prompts[index].article_id
+                    if attempt == config.max_attempts:
+                        raise BackendError(
+                            f"backend unreachable for {article_id!r} after "
+                            f"{attempt} attempts: {exc}") from exc
+                    delay = (config.backoff_base * 2 ** (attempt - 1)
+                             if exc.retry_after is None else exc.retry_after)
+                    log.warning("retrying %s after %s (attempt %d/%d, "
+                                "waiting %.2fs)", article_id, exc, attempt,
+                                config.max_attempts, delay)
+                    heapq.heappush(waiting, (time.monotonic() + delay, index,
+                                             attempt + 1))
+    return results

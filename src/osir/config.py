@@ -28,7 +28,18 @@ ENV_PREFIX = "OSIR_"
 CHOICES = {"embellishment_mode": EMBELLISHMENT_MODES, "pass1_mode": PASS1_MODES,
            "group_by": GROUPINGS, "backend_mode": BACKEND_MODES}
 #: Fields that must be at least 1.
-AT_LEAST_ONE = ("samples_per_article", "max_in_flight", "max_attempts")
+AT_LEAST_ONE = ("token_budget", "samples_per_article", "max_in_flight",
+                "max_attempts")
+#: Fields that must lie in [0, 1].
+UNIT_INTERVAL = ("threshold_identifier", "threshold_citation", "f1_floor")
+#: Numeric field -> (test its value passes, the rule in words). NaN fails
+#: every test.
+BOUNDS = {
+    **dict.fromkeys(AT_LEAST_ONE, (lambda v: v >= 1, "at least 1")),
+    **dict.fromkeys(UNIT_INTERVAL, (lambda v: 0 <= v <= 1, "in [0, 1]")),
+    "timeout": (lambda v: v > 0, "greater than 0"),
+    "backoff_base": (lambda v: v >= 0, "at least 0"),
+}
 
 
 class ConfigError(ValueError):
@@ -62,10 +73,10 @@ class PipelineConfig:
             if value not in allowed:
                 raise ConfigError(f"{name} must be one of "
                                   f"{', '.join(allowed)}; got {value!r}")
-        for name in AT_LEAST_ONE:
+        for name, (valid, rule) in BOUNDS.items():
             value = getattr(self, name)
-            if value < 1:
-                raise ConfigError(f"{name} must be at least 1; got {value}")
+            if not valid(value):
+                raise ConfigError(f"{name} must be {rule}; got {value}")
 
     def thresholds(self) -> Thresholds:
         return Thresholds(identifier=self.threshold_identifier,

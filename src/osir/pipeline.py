@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .backend import make_backend
+from .backend import complete_all, make_backend
 from .config import PipelineConfig
 from .corpus import (
     PROMPT_TEMPLATE_VERSION,
@@ -143,12 +142,11 @@ def complete_stage(prompts: list[PreparedPrompt],
                    config: PipelineConfig) -> list[RawCompletion]:
     """samples_per_article completions of every prompt, with at most
     max_in_flight requests at a time, in (article_id, sample_index) order.
-    The first failed request aborts the stage."""
+    Failed requests are retried as complete_all schedules them; the first
+    fatal error aborts the stage."""
     n = config.samples_per_article
     with _failing_as("complete"):
-        backend = make_backend(config)
-        with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-            batches = list(pool.map(lambda p: backend.complete(p, n), prompts))
+        batches = complete_all(make_backend(config), prompts, n, config)
     return sorted((c for batch in batches for c in batch),
                   key=lambda c: (c.article_id, c.sample_index))
 

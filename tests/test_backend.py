@@ -2,7 +2,9 @@
 
 import json
 import logging
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -12,11 +14,14 @@ from osir.backend import (
     HttpBackend,
     ReplayBackend,
     ReplayFixtureError,
+    RetryableError,
     complete,
+    complete_all,
     make_backend,
 )
 from osir.config import ConfigError, PipelineConfig
 from osir.corpus import PreparedPrompt
+from osir.extraction import RawCompletion
 
 from conftest import write_jsonl
 
@@ -110,19 +115,29 @@ class TestReplayBackend:
 
 
 class _FlakyHandler(BaseHTTPRequestHandler):
-    """Fails with 500 a configurable number of times, then succeeds."""
+    """Fails a configurable number of times, then succeeds.
+
+    Each failure answers failure_status with failure_headers; seen lists the
+    article id of every request in arrival order.
+    """
 
     failures_left = 0
+    failure_status = 500
+    failure_headers: dict[str, str] = {}
     requests_seen = 0
+    seen: list[str] = []
 
     def do_POST(self):
         cls = type(self)
         cls.requests_seen += 1
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length))
+        cls.seen.append(body["prompt"].removeprefix("prompt for "))
         if cls.failures_left > 0:
             cls.failures_left -= 1
-            self.send_response(500)
+            self.send_response(cls.failure_status)
+            for name, value in cls.failure_headers.items():
+                self.send_header(name, value)
             self.end_headers()
             return
         payload = {"completions": [f"completion {i} for {body['n']}"
@@ -139,9 +154,15 @@ class _FlakyHandler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture
-def flaky_server():
+def flaky_server(monkeypatch):
+    """A one-thread server: it answers requests one at a time, in order."""
+    monkeypatch.setattr(_FlakyHandler, "failures_left", 0)
+    monkeypatch.setattr(_FlakyHandler, "failure_status", 500)
+    monkeypatch.setattr(_FlakyHandler, "failure_headers", {})
+    monkeypatch.setattr(_FlakyHandler, "seen", [])
     server = HTTPServer(("127.0.0.1", 0), _FlakyHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/complete"
     server.shutdown()
@@ -160,9 +181,8 @@ class TestHttpBackend:
             self, flaky_server, caplog):
         _FlakyHandler.failures_left = 2
         _FlakyHandler.requests_seen = 0
-        backend = HttpBackend(self.config(flaky_server))
         with caplog.at_level(logging.WARNING, logger="osir.backend"):
-            out = backend.complete(prompt_for("A"), 3)
+            out = complete(prompt_for("A"), 3, self.config(flaky_server))
         assert [c.sample_index for c in out] == [0, 1, 2]
         assert _FlakyHandler.requests_seen == 3
         retries = [r for r in caplog.records if "retrying" in r.getMessage()]
@@ -170,15 +190,44 @@ class TestHttpBackend:
 
     def test_exhausted_attempts(self, flaky_server):
         _FlakyHandler.failures_left = 10
-        backend = HttpBackend(self.config(flaky_server))
         with pytest.raises(BackendError, match="after 3 attempts"):
-            backend.complete(prompt_for("A"), 1)
+            complete(prompt_for("A"), 1, self.config(flaky_server))
 
     def test_unreachable_endpoint(self):
-        backend = HttpBackend(self.config("http://127.0.0.1:1/none",
-                                          max_attempts=2))
+        config = self.config("http://127.0.0.1:1/none", max_attempts=2)
         with pytest.raises(BackendError, match="after 2 attempts"):
+            complete(prompt_for("A"), 1, config)
+
+    def test_one_request_per_call(self, flaky_server):
+        _FlakyHandler.failures_left = 1
+        _FlakyHandler.failure_headers = {"Retry-After": "7"}
+        backend = HttpBackend(self.config(flaky_server))
+        with pytest.raises(RetryableError) as err:
             backend.complete(prompt_for("A"), 1)
+        assert err.value.retry_after == 7.0
+        assert _FlakyHandler.seen == ["A"]
+
+    @pytest.mark.parametrize("status", [400, 401, 404])
+    def test_other_4xx_is_fatal(self, flaky_server, status):
+        _FlakyHandler.failures_left = 1
+        _FlakyHandler.failure_status = status
+        with pytest.raises(BackendError, match=f"HTTP {status}") as err:
+            complete(prompt_for("A"), 1, self.config(flaky_server))
+        assert not isinstance(err.value, RetryableError)
+        assert _FlakyHandler.seen == ["A"]
+
+    @pytest.mark.parametrize("header, seconds", [
+        ("0", 0.0), ("2.5", 2.5), ("-1", None), ("nan", None), ("inf", None),
+        ("Wed, 21 Oct 2026 07:28:00 GMT", None), (None, None)])
+    def test_retry_after_is_a_number_of_seconds(self, flaky_server, header,
+                                                 seconds):
+        _FlakyHandler.failures_left = 1
+        _FlakyHandler.failure_status = 429
+        _FlakyHandler.failure_headers = {} if header is None else {
+            "Retry-After": header}
+        with pytest.raises(RetryableError) as err:
+            HttpBackend(self.config(flaky_server)).complete(prompt_for("A"), 1)
+        assert err.value.retry_after == seconds
 
     def test_auth_header_from_env(self, flaky_server, monkeypatch):
         _FlakyHandler.failures_left = 0
@@ -205,3 +254,110 @@ class TestHttpBackend:
         assert isinstance(replay, ReplayBackend)
         http = make_backend(self.config(flaky_server))
         assert isinstance(http, HttpBackend)
+
+
+class TestScheduler:
+    """complete_all against the one-thread server: requests arrive in the
+    order the scheduler sends them."""
+
+    def config(self, endpoint: str, **kw) -> PipelineConfig:
+        defaults = dict(backend_mode="http", endpoint=endpoint,
+                        max_attempts=3, backoff_base=0.01, timeout=5.0,
+                        max_in_flight=1)
+        defaults.update(kw)
+        return PipelineConfig(**defaults)
+
+    def run(self, config: PipelineConfig, ids: str):
+        prompts = [prompt_for(article_id) for article_id in ids]
+        return complete_all(HttpBackend(config), prompts, 1, config)
+
+    @staticmethod
+    def delays(caplog) -> list[float]:
+        """The delay of each logged retry, as the scheduler set it."""
+        return [r.args[-1] for r in caplog.records
+                if "retrying" in r.getMessage()]
+
+    def test_429_with_retry_after_zero_is_retried(self, flaky_server, caplog):
+        _FlakyHandler.failures_left = 1
+        _FlakyHandler.failure_status = 429
+        _FlakyHandler.failure_headers = {"Retry-After": "0"}
+        with caplog.at_level(logging.WARNING, logger="osir.backend"):
+            out = self.run(self.config(flaky_server, backoff_base=30.0), "A")
+        assert [c.article_id for batch in out for c in batch] == ["A"]
+        assert _FlakyHandler.seen == ["A", "A"]
+        assert self.delays(caplog) == [0.0]
+
+    def test_429_without_retry_after_backs_off_exponentially(
+            self, flaky_server, caplog):
+        _FlakyHandler.failures_left = 2
+        _FlakyHandler.failure_status = 429
+        with caplog.at_level(logging.WARNING, logger="osir.backend"):
+            out = self.run(self.config(flaky_server, backoff_base=0.05), "A")
+        assert [c.article_id for batch in out for c in batch] == ["A"]
+        assert _FlakyHandler.seen == ["A", "A", "A"]
+        assert self.delays(caplog) == [0.05, 0.1]
+
+    def test_backoff_frees_the_slot(self, flaky_server):
+        # A's retry is due 0.2 s after its 503 and then queues behind the
+        # prompts not yet sent, so the order does not depend on timing
+        _FlakyHandler.failures_left = 1
+        _FlakyHandler.failure_status = 503
+        out = self.run(self.config(flaky_server, backoff_base=0.2), "ABCD")
+        assert _FlakyHandler.seen == ["A", "B", "C", "D", "A"]
+        assert [batch[0].article_id for batch in out] == list("ABCD")
+
+    def test_fatal_error_drains_no_queue(self, flaky_server):
+        _FlakyHandler.failures_left = 1
+        _FlakyHandler.failure_status = 400
+        ids = [f"a{i:02d}" for i in range(30)]
+        config = self.config(flaky_server, max_in_flight=2)
+        with pytest.raises(BackendError, match="HTTP 400"):
+            complete_all(HttpBackend(config), [prompt_for(i) for i in ids], 1,
+                         config)
+        assert len(_FlakyHandler.seen) <= 2 * config.max_in_flight
+
+    def test_exhausted_attempts_name_the_article(self, flaky_server):
+        _FlakyHandler.failures_left = 10
+        _FlakyHandler.failure_status = 503
+        with pytest.raises(BackendError,
+                           match=r"unreachable for 'A' after 3 attempts: "
+                                 r"HTTP 503"):
+            self.run(self.config(flaky_server), "A")
+
+    def test_stress_every_result_in_prompt_order(self):
+        # more slots than cores and a short switch interval, so that attempts
+        # interleave; every third article fails twice before it succeeds
+        class Fake:
+            def __init__(self):
+                self.lock = threading.Lock()
+                self.attempts = {}
+                self.active = self.peak = 0
+
+            def complete(self, prompt, n):
+                with self.lock:
+                    self.active += 1
+                    self.peak = max(self.peak, self.active)
+                    tries = self.attempts[prompt.article_id] = \
+                        self.attempts.get(prompt.article_id, 0) + 1
+                time.sleep(0.0005)
+                with self.lock:
+                    self.active -= 1
+                if int(prompt.article_id) % 3 == 0 and tries < 3:
+                    raise RetryableError("HTTP 503", retry_after=0.0)
+                return [RawCompletion(prompt.article_id, i, "t")
+                        for i in range(n)]
+
+        config = PipelineConfig(max_in_flight=8, max_attempts=3)
+        ids = [str(i) for i in range(300)]
+        backend = Fake()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = complete_all(backend, [prompt_for(i) for i in ids], 2,
+                               config)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [[(c.article_id, c.sample_index) for c in batch]
+                for batch in out] == [[(i, 0), (i, 1)] for i in ids]
+        assert sum(backend.attempts.values()) == 300 + 2 * 100
+        assert backend.peak <= config.max_in_flight

@@ -111,3 +111,24 @@ def test_bad_env_choice_fails_when_loaded():
 def test_max_in_flight_zero_rejected():
     with pytest.raises(ConfigError, match="max_in_flight must be at least 1"):
         PipelineConfig(max_in_flight=0)
+
+
+@pytest.mark.parametrize("key, bad, boundary", [
+    ("token_budget", 0, 1),
+    ("threshold_identifier", 1.01, 1.0),
+    ("threshold_identifier", -0.01, 0.0),
+    ("threshold_citation", -2, 0.0),
+    ("threshold_citation", float("nan"), 1.0),
+    ("f1_floor", 1.5, 1.0),
+    ("f1_floor", -0.5, 0.0),
+    ("timeout", 0, 0.001),
+    ("timeout", -1, 0.001),
+    ("backoff_base", -0.1, 0.0),
+])
+def test_range_checked_when_loaded(tmp_path, key, bad, boundary):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: bad}))
+    with pytest.raises(ConfigError, match=f"{key} must be"):
+        load_config(path, env={})
+    path.write_text(json.dumps({key: boundary}))
+    assert getattr(load_config(path, env={}), key) == boundary

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 import osir.evaluation
 import osir.pipeline
 import osir.scoring
+from osir.backend import RetryableError
 from osir.cli import main
 from osir.config import PipelineConfig, load_config
 from osir.extraction import RawCompletion, parse_extraction
@@ -20,21 +21,29 @@ from conftest import build_replay_bundle
 
 
 class CountingBackend:
-    """Records the peak number of concurrent complete() calls."""
+    """Records the peak number of concurrent complete() calls and the threads
+    that made them; the first attempt of each article in *fail_first* raises
+    RetryableError."""
 
-    def __init__(self, delay=0.01):
+    def __init__(self, delay=0.01, fail_first=()):
         self.lock = threading.Lock()
         self.delay = delay
+        self.fail_first = set(fail_first)
         self.active = 0
         self.peak = 0
+        self.threads = set()
 
     def complete(self, prompt, n):
         with self.lock:
             self.active += 1
             self.peak = max(self.peak, self.active)
+            self.threads.add(threading.get_ident())
         time.sleep(self.delay)
         with self.lock:
             self.active -= 1
+            if prompt.article_id in self.fail_first:
+                self.fail_first.remove(prompt.article_id)
+                raise RetryableError("HTTP 503")
         return [RawCompletion(prompt.article_id, i, "no payload")
                 for i in range(n)]
 
@@ -124,6 +133,22 @@ class TestRunPipeline:
         config = replay_config(paths["fixture"], max_in_flight=limit)
         run_pipeline(paths["corpus"], tmp_path / "out", config)
         assert 1 <= backend.peak <= limit
+
+    def test_retries_keep_concurrency_bound(self, tmp_path, monkeypatch):
+        paths = build_replay_bundle(tmp_path, n_articles=12)
+        limit = 2
+        backend = CountingBackend(
+            fail_first=[f"art-{i:03d}" for i in range(0, 12, 3)])
+        monkeypatch.setattr(osir.pipeline, "make_backend",
+                            lambda config: backend)
+        config = replay_config(paths["fixture"], max_in_flight=limit,
+                               backoff_base=0.01)
+        run_pipeline(paths["corpus"], tmp_path / "out", config)
+        assert not backend.fail_first  # every planned failure happened
+        assert 1 <= backend.peak <= limit
+        assert len(backend.threads) <= limit
+        completions = (tmp_path / "out" / "completions.jsonl").read_text()
+        assert len(completions.splitlines()) == 12 * 3
 
     def test_verdicts_reflect_majority(self, tmp_path):
         paths = build_replay_bundle(tmp_path, n_articles=4)
