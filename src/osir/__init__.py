@@ -21,7 +21,6 @@ from .extraction import (
     RawCompletion,
     format_reward,
     parse_extraction,
-    validate_record,
 )
 from .grounding import (
     GroundingReport,

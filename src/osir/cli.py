@@ -70,18 +70,18 @@ def main() -> None:
 @main.command()
 @click.option("--corpus", "corpus_path", required=True,
               type=click.Path(exists=False), help="Line-delimited corpus file.")
-@click.option("--validate", is_flag=True, default=False,
-              help="Exit non-zero on any malformed article.")
-def ingest(corpus_path: str, validate: bool) -> None:
-    """Load a corpus file and report its composition."""
+def ingest(corpus_path: str) -> None:
+    """Load a corpus file and report its composition.
+
+    Exits non-zero on the first malformed article, naming its line.
+    """
     with _user_errors():
         articles = load_corpus(corpus_path)
     by_discipline = Counter(a.discipline for a in articles)
     click.echo(f"{len(articles)} articles")
     for discipline, count in sorted(by_discipline.items()):
         click.echo(f"  {discipline}: {count}")
-    if validate:
-        click.echo("corpus OK")
+    click.echo("corpus OK")
 
 
 @main.command()

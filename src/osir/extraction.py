@@ -14,7 +14,6 @@ from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 from typing import Iterable
 
-from .identifiers import canonicalize_identifier
 from .jsonl import field_dict, iter_jsonl, write_jsonl
 
 
@@ -92,12 +91,6 @@ class GoldAnnotation:
     record: ExtractionRecord
 
 
-@dataclass(frozen=True)
-class Violation:
-    field: str
-    rule: str
-
-
 def _first_json_object(text: str) -> dict | None:
     """The first parseable JSON object embedded in *text*, if any.
 
@@ -166,34 +159,6 @@ def parse_extraction(raw: RawCompletion) -> ParseOutcome:
 def format_reward(outcome: ParseOutcome) -> int:
     """Binary format gate: 1 iff the completion parsed into a valid record."""
     return 1 if outcome.parsed else 0
-
-
-def validate_record(record: ExtractionRecord) -> list[Violation]:
-    """Check record invariants beyond field kinds.
-
-    Returns one Violation per broken rule: evidence strings must be non-empty
-    after trimming, and unique within each list once canonicalized.
-    """
-    violations: list[Violation] = []
-    for name, values in record.lists().items():
-        kind = field_kind(name)
-        canonical_seen: dict[str, str] = {}
-        flagged: set[str] = set()
-        for value in values:
-            if not value.strip():
-                violations.append(Violation(name, "empty string after trimming"))
-                continue
-            canon = canonicalize_identifier(kind, value)
-            if canon in canonical_seen and canon not in flagged:
-                violations.append(Violation(
-                    name,
-                    f"duplicate canonical value {canon!r} "
-                    f"(from {canonical_seen[canon]!r} and {value!r})",
-                ))
-                flagged.add(canon)
-            else:
-                canonical_seen.setdefault(canon, value)
-    return violations
 
 
 def record_to_payload(record: ExtractionRecord) -> dict:

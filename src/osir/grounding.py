@@ -21,25 +21,22 @@ piece's own offset. The window starts found by str.find on the pieces are
 scored with the bit-parallel kernel of text.prefix_distances, which gives the
 distance to every admissible window length from one start in one pass. A
 match found this way is the full search's (score, span). Only the reward
-path uses the filter, because it needs just the decision. The full search, a
-dynamic program vectorized with numpy across all start positions, serves
-fuzzy_contains and filter_gold, which report an exact score for unmatched
-strings too, and the reward path when the filter does not apply (k + 1 > L,
-or an article shorter than the smallest window) or when the pieces are so
-common that scoring their starts would cost more.
+path uses the filter, because it needs just the decision. The full search
+runs the same kernel for every start at once, each start one lane of a
+Python int (the increased bit-parallelism of Hyyro, Fredriksson & Navarro).
+It serves fuzzy_contains and filter_gold, which report an exact score for
+unmatched strings too, and the reward path when the filter does not apply
+(k + 1 > L, or an article shorter than the smallest window) or when the
+pieces are so common that scoring their starts would cost more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .corpus import Article
 from .extraction import ExtractionRecord, GoldAnnotation, field_kind
 from .text import char_masks, normalize_text, prefix_distances, similarity
-
-_SENTINEL = np.uint32(0xFFFFFFFF)  # padding code point, never equals a real char
 
 
 @dataclass(frozen=True)
@@ -91,10 +88,6 @@ class GroundingReport:
     e: float
 
 
-def _codes(s: str) -> np.ndarray:
-    return np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32)
-
-
 def _window_lengths(length: int) -> tuple[int, int]:
     """Admissible window lengths ceil(0.8 * length) .. floor(1.2 * length)."""
     return max(1, -(-4 * length // 5)), 6 * length // 5
@@ -111,39 +104,68 @@ def _best_window(art: str, cand: str) -> tuple[float, tuple[int, int]]:
         return similarity(cand, art), (0, n)
     hi = min(hi, n)
 
-    starts = n - lo + 1
-    cand_codes = _codes(cand)
-    padded = np.concatenate(
-        [_codes(art), np.full(hi, _SENTINEL, dtype=np.uint32)])
+    # The recurrence of text.prefix_distances, run for every start at once:
+    # lane s, w bits wide, of each int below holds the state of the windows
+    # starting at art[s]. A lane has length bits of pv/mv, a guard bit above
+    # them for the carry of (eq & pv) + pv, and room for the distance, which
+    # is < 2 ** bits, plus a flag bit at position bits (in `dist`).
+    bits = max(length, hi).bit_length()
+    size = max(length, bits) // 8 + 1  # bytes per lane
+    w = 8 * size
+    masks = char_masks(cand)
+    lanes = bytearray(n * size)
+    alphabet = set(art)
+    for k in range((length + 7) // 8):  # byte k of every lane's mask
+        table = {ord(c): masks.get(c, 0) >> 8 * k & 0xFF for c in alphabet}
+        lanes[k::size] = art.translate(table).encode("latin-1")
+    eqs = int.from_bytes(lanes, "little")  # lane s: masks[art[s]]
 
-    # prev[i, s] = levenshtein(cand[:i], art[s : s + j]) after processing j
-    # window characters; advancing j is one vectorized sweep over all starts.
-    prev = np.tile(np.arange(length + 1, dtype=np.int32)[:, None], (1, starts))
-    best_score = -1.0
-    best_span = (0, 0)
+    starts = n - lo + 1
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * starts, "little")
+    full = ones * ((1 << length) - 1)
+    top = ones << (length - 1)
+    pv, mv = full, 0
+    dist = ones * (length + (1 << bits))  # every flag set
+    best_score, best_span = -1.0, (0, 0)
     for j in range(1, hi + 1):
-        wchar = padded[j - 1 : j - 1 + starts]
-        cur = np.empty_like(prev)
-        cur[0] = j
-        for i in range(1, length + 1):
-            cell = prev[i - 1] + (cand_codes[i - 1] != wchar)
-            np.minimum(cell, prev[i] + 1, out=cell)
-            np.minimum(cell, cur[i - 1] + 1, out=cell)
-            cur[i] = cell
-        prev = cur
+        # Step j feeds art[s + j - 1] to lane s. Only a carry out of pv can
+        # cross into the next lane, so only pv is masked; row 0 of the DP
+        # grows by one in every lane through `| ones`.
+        eq = eqs >> (j - 1) * w
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ((xh | pv) ^ full)
+        mh = pv & xh
+        dist += ((ph & top) - (mh & top)) >> (length - 1)
+        ph = (ph << 1) | ones
+        pv = ((mh << 1) | ((xv | ph) ^ full)) & full
+        mv = ph & xv
         if j < lo:
             continue
-        valid = n - j + 1  # starts whose length-j window stays inside art
-        if valid <= 0:
+        # Lanes s <= n - j hold a length-j window. d is the largest distance
+        # that still beats best_score; subtracting d + 1 from each of those
+        # lanes clears the flag of every lane at distance <= d.
+        live = ones >> (j - lo) * w
+        flags = live << bits
+        m = max(length, j)
+        d = min(m, int((1.0 - best_score) * m) + 1)
+        while 1.0 - d / m <= best_score:
+            d -= 1
+        hits = flags & ~(dist - (d + 1) * live)
+        if not hits:
+            continue
+        low = 0  # binary search for the least distance, then its lowest lane
+        while low < d:
+            mid = (low + d) // 2
+            below = flags & ~(dist - (mid + 1) * live)
+            if below:
+                d, hits = mid, below
+            else:
+                low = mid + 1
+        s = ((hits & -hits).bit_length() - 1) // w  # lane of the lowest flag
+        best_score, best_span = 1.0 - d / m, (s, s + j)
+        if best_score >= 1.0:
             break
-        dist = cur[length, :valid]
-        s_idx = int(np.argmin(dist))
-        score = 1.0 - int(dist[s_idx]) / max(length, j)
-        if score > best_score:
-            best_score = score
-            best_span = (s_idx, s_idx + j)
-            if best_score >= 1.0:
-                break
     return best_score, best_span
 
 
@@ -169,12 +191,17 @@ def _pigeonhole_window(
     k = int((1 - threshold) * hi) + 1
     if k + 1 > length:
         return None
-    # Scoring a start costs about 1 us per window character; the full
-    # search costs about 10 us + 2 ns per article character for each of its
-    # length * hi sweeps (CPython 3.11, numpy 2, 2.1 GHz Xeon). When pieces
+    # Scoring a start costs about 1 us per window character. When pieces
     # are so common that the filter would cost more, the full search runs.
-    # On a 42k-character article the filter's cost over the full search's
-    # tracks len(starts) / max_starts and crosses 1 near the cutoff.
+    # The cutoff was fitted against an earlier full search, a dynamic
+    # program vectorized in arrays across all starts, which cost about
+    # 10 us + 2 ns per article character for each of its length * hi sweeps
+    # (CPython 3.11, 2.1 GHz Xeon); on a 42k-character article the filter's
+    # cost over that search's tracked len(starts) / max_starts and crossed
+    # 1 near the cutoff. The cutoff is kept as it was: on that article the
+    # lane-parallel search costs 0.2-1.7x the old one (over 1x only up to
+    # 10 characters, under 0.6x from 25 up), and refitting waits for a
+    # workload that reaches the cutoff.
     max_starts = length * (n + 5000) // 500
     pieces = k + 1
     last_start = n - lo

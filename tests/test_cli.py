@@ -2,8 +2,12 @@
 
 import csv
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -35,7 +39,7 @@ def bundle(tmp_path):
 class TestIngest:
     def test_reports_composition(self, runner, bundle):
         result = runner.invoke(main, ["ingest", "--corpus",
-                                      str(bundle["corpus"]), "--validate"])
+                                      str(bundle["corpus"])])
         assert result.exit_code == 0, result.output
         assert "4 articles" in result.output
         assert "corpus OK" in result.output
@@ -43,10 +47,21 @@ class TestIngest:
     def test_malformed_corpus_fails(self, runner, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("garbage\n")
-        result = runner.invoke(main, ["ingest", "--corpus", str(bad),
-                                      "--validate"])
+        result = runner.invoke(main, ["ingest", "--corpus", str(bad)])
         assert result.exit_code != 0
         assert "line 1" in result.output
+
+
+class TestImports:
+    def test_numpy_not_imported(self):
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, osir, osir.cli; print('numpy' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestExtract:

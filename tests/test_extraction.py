@@ -1,4 +1,4 @@
-"""Completion parsing, the format gate, and record validation."""
+"""Completion parsing, the format gate, and the record files."""
 
 import json
 
@@ -18,7 +18,6 @@ from osir.extraction import (
     record_to_payload,
     save_gold,
     serialize_record,
-    validate_record,
 )
 from osir.extraction import GoldAnnotation
 
@@ -129,26 +128,6 @@ class TestFormatReward:
         record = make_record()
         assert all(not values for values in record.lists().values())
         assert format_reward(outcome_for(completion_text(record))) == 1
-
-
-class TestValidateRecord:
-    def test_clean_record(self):
-        assert validate_record(make_record()) == []
-
-    def test_empty_string_in_list(self):
-        violations = validate_record(make_record(new_data_dois=("",)))
-        assert len(violations) == 1
-        assert violations[0].field == "new_data_dois"
-
-    def test_duplicate_canonical_doi(self):
-        record = make_record(reuse_data_dois=(
-            "10.1371/journal.pone.0230416",
-            "https://doi.org/10.1371/JOURNAL.PONE.0230416",
-        ))
-        violations = validate_record(record)
-        assert len(violations) == 1
-        assert violations[0].field == "reuse_data_dois"
-        assert "duplicate" in violations[0].rule
 
 
 class TestFileInterfaces:

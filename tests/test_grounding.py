@@ -14,6 +14,7 @@ from osir.grounding import (
     fuzzy_contains,
     normalize_text,
 )
+from osir.text import prefix_distances, similarity
 
 from conftest import make_article, make_record
 from oracles import oracle_normalize, oracle_windowed_score
@@ -63,6 +64,24 @@ def _decision_cases(seed: int, count: int):
             art = rest[:rng.randint(0, max(0, length - 2))]  # often n < lo
         if oracle_normalize(cand) and oracle_normalize(art):
             yield art, cand
+
+
+def _scan_every_start(art: str, cand: str) -> tuple[float, tuple[int, int]]:
+    """_best_window's (score, span), scoring each start on its own with
+    text.prefix_distances: windows in order of length, then start, so the
+    strict > keeps the shortest, then leftmost, of equal scores."""
+    n, length = len(art), len(cand)
+    lo, hi = max(1, -(-4 * length // 5)), min(6 * length // 5, n)
+    if n < lo:
+        return similarity(cand, art), (0, n)
+    dists = [prefix_distances(cand, art[s:s + hi]) for s in range(n - lo + 1)]
+    best_score, best_span = -1.0, (0, 0)
+    for j in range(lo, hi + 1):
+        for s in range(n - j + 1):
+            score = 1.0 - dists[s][j - 1] / max(length, j)
+            if score > best_score:
+                best_score, best_span = score, (s, s + j)
+    return best_score, best_span
 
 
 class TestNormalizeText:
@@ -131,6 +150,25 @@ class TestFuzzyContains:
             t1, t2 = sorted((rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0)))
             if fuzzy_contains(art, cand, t2).matched:
                 assert fuzzy_contains(art, cand, t1).matched
+
+    @pytest.mark.parametrize(
+        "length", [7, 8, 15, 16, 29, 30, 31, 63, 64, 65, 127, 128, 129, 150])
+    def test_scan_equals_per_start_kernel(self, length):
+        # Lengths on either side of the scan's lane-width steps; small
+        # alphabets, so equal scores and equal distances are common.
+        rng = random.Random(length)
+        lo = max(1, -(-4 * length // 5))
+        for alphabet in ("ab", "abc", "aé€𝄞"):
+            cand = "".join(rng.choice(alphabet) for _ in range(length))
+            for n in (lo - 1, lo, lo + rng.randint(1, 10),
+                      2 * length + rng.randint(0, 20)):
+                art = list(_perturb(rng, cand, alphabet, rng.randint(1, 4))
+                           * (1 + n // length))
+                for _ in range(len(art) // 8):
+                    art[rng.randrange(len(art))] = rng.choice(alphabet)
+                art = "".join(art)[:n]
+                assert _best_window(art, cand) == _scan_every_start(
+                    art, cand), (art, cand)
 
     def test_span_within_normalized_text(self):
         art = "  The DATASET  gse999 lives here  "
