@@ -13,21 +13,19 @@ Contract for the window search (shared with the brute-force test oracle):
     than the smallest admissible window, the whole article is the window.
     Ties go to the shortest window, then the leftmost start.
 
-Only windows that could reach the threshold are scored. A window scoring at
-least t is within edit distance k = int((1 - t) * floor(1.2 L)) + 1 of the
+One scanner, _best_window, runs the edit-distance recurrence of
+text.prefix_distances for many window starts at once, each start one lane of
+a Python int (the increased bit-parallelism of Hyyro, Fredriksson & Navarro).
+fuzzy_contains and filter_gold, which report an exact score for unmatched
+strings too, scan every start. The reward path needs only the decision, so
+it scans only the starts of windows that could reach the threshold t: such a
+window is within edit distance k = int((1 - t) * floor(1.2 L)) + 1 of the
 candidate, so by the pigeonhole rule (Baeza-Yates & Navarro) one of k + 1
 contiguous pieces of the candidate occurs verbatim in it, within k of the
-piece's own offset. The window starts found by str.find on the pieces are
-scored with the bit-parallel kernel of text.prefix_distances, which gives the
-distance to every admissible window length from one start in one pass. A
-match found this way is the full search's (score, span). Only the reward
-path uses the filter, because it needs just the decision. The full search
-runs the same kernel for every start at once, each start one lane of a
-Python int (the increased bit-parallelism of Hyyro, Fredriksson & Navarro).
-It serves fuzzy_contains and filter_gold, which report an exact score for
-unmatched strings too, and the reward path when the filter does not apply
-(k + 1 > L, or an article shorter than the smallest window) or when the
-pieces are so common that scoring their starts would cost more.
+piece's own offset. str.find on the pieces marks those starts, and a match
+found among them is the full scan's (score, span). Where the rule cannot
+apply (k + 1 > L, or an article shorter than the smallest window), every
+start is scanned.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from dataclasses import dataclass
 
 from .corpus import Article
 from .extraction import ExtractionRecord, GoldAnnotation, field_kind
-from .text import char_masks, normalize_text, prefix_distances, similarity
+from .text import char_masks, normalize_text, similarity
 
 
 @dataclass(frozen=True)
@@ -93,20 +91,47 @@ def _window_lengths(length: int) -> tuple[int, int]:
     return max(1, -(-4 * length // 5)), 6 * length // 5
 
 
-def _best_window(art: str, cand: str) -> tuple[float, tuple[int, int]]:
+def _best_window(art: str, cand: str, starts: bytearray | None = None
+                 ) -> tuple[float, tuple[int, int]]:
     """Maximum windowed similarity of *cand* over normalized article *art*.
 
     Returns (score, span). Inputs must already be normalized; cand non-empty.
+    *starts*, one byte per start s (n - lo + 1 of them), marks with 1 the
+    starts to score; the result is then the best of their windows, or
+    (0.0, (0, 0)) when none is marked. None scores every start.
     """
     n, length = len(art), len(cand)
     lo, hi = _window_lengths(length)
     if n < lo:
         return similarity(cand, art), (0, n)
+    if starts is None:
+        runs = [(0, n)]
+    else:
+        # The scanned text is the piece art[a:b - 1 + hi] that the windows of
+        # each run a..b-1 of marked starts read; pieces that touch are merged,
+        # so the text is never longer than the article and a lane of a marked
+        # start reads the same characters as in the article.
+        runs = []
+        a = starts.find(1)
+        while a != -1:
+            b = starts.find(0, a)
+            if b == -1:
+                b = len(starts)
+            end = min(n, b - 1 + hi)
+            if runs and a <= runs[-1][1]:
+                runs[-1] = (runs[-1][0], end)
+            else:
+                runs.append((a, end))
+            a = starts.find(1, b)
+        if not runs:
+            return 0.0, (0, 0)
+    text = "".join(art[a:end] for a, end in runs)
+    n = len(text)
     hi = min(hi, n)
 
     # The recurrence of text.prefix_distances, run for every start at once:
     # lane s, w bits wide, of each int below holds the state of the windows
-    # starting at art[s]. A lane has length bits of pv/mv, a guard bit above
+    # starting at text[s]. A lane has length bits of pv/mv, a guard bit above
     # them for the carry of (eq & pv) + pv, and room for the distance, which
     # is < 2 ** bits, plus a flag bit at position bits (in `dist`).
     bits = max(length, hi).bit_length()
@@ -114,21 +139,27 @@ def _best_window(art: str, cand: str) -> tuple[float, tuple[int, int]]:
     w = 8 * size
     masks = char_masks(cand)
     lanes = bytearray(n * size)
-    alphabet = set(art)
+    alphabet = set(text)
     for k in range((length + 7) // 8):  # byte k of every lane's mask
         table = {ord(c): masks.get(c, 0) >> 8 * k & 0xFF for c in alphabet}
-        lanes[k::size] = art.translate(table).encode("latin-1")
-    eqs = int.from_bytes(lanes, "little")  # lane s: masks[art[s]]
+        lanes[k::size] = text.translate(table).encode("latin-1")
+    eqs = int.from_bytes(lanes, "little")  # lane s: masks[text[s]]
 
-    starts = n - lo + 1
-    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * starts, "little")
+    count = n - lo + 1
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * count, "little")
+    if starts is None:
+        wanted = ones
+    else:  # the lanes of marked starts, each a marks slice over its piece
+        lanes = bytearray(count * size)
+        lanes[::size] = b"".join(starts[a:end] for a, end in runs)[:count]
+        wanted = int.from_bytes(lanes, "little")
     full = ones * ((1 << length) - 1)
     top = ones << (length - 1)
     pv, mv = full, 0
     dist = ones * (length + (1 << bits))  # every flag set
-    best_score, best_span = -1.0, (0, 0)
+    best_score, best_lane, best_len = -1.0, 0, 0
     for j in range(1, hi + 1):
-        # Step j feeds art[s + j - 1] to lane s. Only a carry out of pv can
+        # Step j feeds text[s + j - 1] to lane s. Only a carry out of pv can
         # cross into the next lane, so only pv is masked; row 0 of the DP
         # grows by one in every lane through `| ones`.
         eq = eqs >> (j - 1) * w
@@ -142,10 +173,10 @@ def _best_window(art: str, cand: str) -> tuple[float, tuple[int, int]]:
         mv = ph & xv
         if j < lo:
             continue
-        # Lanes s <= n - j hold a length-j window. d is the largest distance
-        # that still beats best_score; subtracting d + 1 from each of those
-        # lanes clears the flag of every lane at distance <= d.
-        live = ones >> (j - lo) * w
+        # Wanted lanes s <= n - j hold a length-j window. d is the largest
+        # distance that still beats best_score; subtracting d + 1 from each
+        # of those lanes clears the flag of every lane at distance <= d.
+        live = ones >> (j - lo) * w & wanted
         flags = live << bits
         m = max(length, j)
         d = min(m, int((1.0 - best_score) * m) + 1)
@@ -162,24 +193,22 @@ def _best_window(art: str, cand: str) -> tuple[float, tuple[int, int]]:
                 d, hits = mid, below
             else:
                 low = mid + 1
-        s = ((hits & -hits).bit_length() - 1) // w  # lane of the lowest flag
-        best_score, best_span = 1.0 - d / m, (s, s + j)
+        best_score = 1.0 - d / m
+        best_lane, best_len = ((hits & -hits).bit_length() - 1) // w, j
         if best_score >= 1.0:
             break
-    return best_score, best_span
+    for a, end in runs:  # the piece of the winning lane, and its offset
+        if best_lane < end - a:
+            break
+        best_lane -= end - a
+    return best_score, (a + best_lane, a + best_lane + best_len)
 
 
-def _pigeonhole_window(
-    art: str, cand: str, threshold: float
-) -> tuple[float, tuple[int, int]] | None:
-    """Best window of *cand* in *art* among the starts that can reach
-    *threshold*, as (score, span).
-
-    When the best window overall reaches the threshold, the result equals
-    _best_window's. Otherwise the score is below the threshold: the best of
-    the starts scored, or 0.0 when there were none. None when the filter
-    does not apply, or would cost more than the full search, which must
-    then run.
+def _pigeonhole_starts(art: str, cand: str, threshold: float
+                       ) -> bytearray | None:
+    """Marks, for _best_window, of the starts whose windows can reach
+    *threshold*: every window scoring at least *threshold* starts at a
+    marked start. None when the filter does not apply.
     """
     n, length = len(art), len(cand)
     lo, hi = _window_lengths(length)
@@ -191,42 +220,19 @@ def _pigeonhole_window(
     k = int((1 - threshold) * hi) + 1
     if k + 1 > length:
         return None
-    # Scoring a start costs about 1 us per window character. When pieces
-    # are so common that the filter would cost more, the full search runs.
-    # The cutoff was fitted against an earlier full search, a dynamic
-    # program vectorized in arrays across all starts, which cost about
-    # 10 us + 2 ns per article character for each of its length * hi sweeps
-    # (CPython 3.11, 2.1 GHz Xeon); on a 42k-character article the filter's
-    # cost over that search's tracked len(starts) / max_starts and crossed
-    # 1 near the cutoff. The cutoff is kept as it was: on that article the
-    # lane-parallel search costs 0.2-1.7x the old one (over 1x only up to
-    # 10 characters, under 0.6x from 25 up), and refitting waits for a
-    # workload that reaches the cutoff.
-    max_starts = length * (n + 5000) // 500
     pieces = k + 1
-    last_start = n - lo
-    starts: set[int] = set()
+    marks = bytearray(n - lo + 1)
+    run = b"\x01" * (2 * k + 1)
     for p in range(pieces):
         offset = p * length // pieces
         piece = cand[offset:(p + 1) * length // pieces]
         q = art.find(piece)
         while q != -1:
-            starts.update(range(max(0, q - offset - k),
-                                min(last_start, q - offset + k) + 1))
-            if len(starts) > max_starts:
-                return None
+            a, b = max(0, q - offset - k), min(n - lo + 1, q - offset + k + 1)
+            if a < b:
+                marks[a:b] = run[:b - a]
             q = art.find(piece, q + 1)
-
-    masks = char_masks(cand)
-    best_score, best_span = 0.0, (0, 0)
-    for s in sorted(starts):
-        dists = prefix_distances(cand, art[s:s + hi], masks)
-        for j in range(lo, len(dists) + 1):
-            score = 1.0 - dists[j - 1] / max(length, j)
-            if score > best_score or (
-                    score == best_score and j < best_span[1] - best_span[0]):
-                best_score, best_span = score, (s, s + j)
-    return best_score, best_span
+    return marks
 
 
 def _fuzzy_contains_normalized(
@@ -239,11 +245,9 @@ def _fuzzy_contains_normalized(
     if idx != -1:
         return MatchResult(candidate=candidate, matched=True, score=1.0,
                            span=(idx, idx + len(cand_norm)))
-    found = None if exact_score else _pigeonhole_window(
-        art_norm, cand_norm, threshold)
-    if found is None:
-        found = _best_window(art_norm, cand_norm)
-    score, span = found
+    score, span = _best_window(art_norm, cand_norm, None if exact_score
+                               else _pigeonhole_starts(art_norm, cand_norm,
+                                                       threshold))
     matched = score >= threshold
     return MatchResult(candidate=candidate, matched=matched, score=score,
                        span=span if matched and span[0] < span[1] else None)

@@ -52,13 +52,15 @@ def match_sets(
     gold: list[str] | tuple[str, ...],
     threshold: float,
 ) -> SetMatching:
-    """Greedy highest-similarity-first one-to-one matching.
+    """Maximum one-to-one matching of pairs similar enough, seeded greedily.
 
     Similarities are computed between normalized strings; a pair counts only
-    when its similarity reaches *threshold*. Ties break deterministically by
-    (similarity desc, predicted index asc, gold index asc). Greedy matching
-    can in principle pair one fewer than an optimal assignment, but is
-    deterministic and near-optimal at evidence-list sizes.
+    when its similarity reaches *threshold*. The greedy matching takes pairs
+    highest similarity first, ties broken by (predicted index, gold index).
+    Kuhn's augmenting paths then extend it to a maximum matching (the most
+    pairs); an augmentation only adds pairs, so where greedy is already
+    maximum the pairs are greedy's. Pairs are listed by (similarity desc,
+    predicted index, gold index).
     """
     pred_norm = [normalize_text(p) for p in predicted]
     gold_norm = [normalize_text(g) for g in gold]
@@ -75,18 +77,32 @@ def match_sets(
                 scored.append((sim, i, j))
     scored.sort(key=lambda t: (-t[0], t[1], t[2]))
 
-    used_pred: set[int] = set()
-    used_gold: set[int] = set()
-    pairs: list[tuple[str, str, float]] = []
+    owner: dict[int, tuple[float, int]] = {}  # gold j -> (sim, predicted i)
+    used: set[int] = set()
+    edges: list[list[tuple[float, int]]] = [[] for _ in predicted]
     for sim, i, j in scored:
-        if i in used_pred or j in used_gold:
-            continue
-        used_pred.add(i)
-        used_gold.add(j)
-        pairs.append((predicted[i], gold[j], sim))
+        edges[i].append((sim, j))
+        if i not in used and j not in owner:
+            used.add(i)
+            owner[j] = (sim, i)
 
+    def augment(i: int, seen: set[int]) -> bool:
+        """Match predicted i along an augmenting path, if there is one."""
+        for sim, j in edges[i]:
+            if j not in seen:
+                seen.add(j)
+                if j not in owner or augment(owner[j][1], seen):
+                    owner[j] = (sim, i)
+                    return True
+        return False
+
+    for i in range(len(predicted)):
+        if i not in used:
+            augment(i, set())
+    pairs = tuple((predicted[i], gold[j], sim) for j, (sim, i) in sorted(
+        owner.items(), key=lambda item: (-item[1][0], item[1][1], item[0])))
     tp = len(pairs)
-    return SetMatching(pairs=tuple(pairs), tp=tp,
+    return SetMatching(pairs=pairs, tp=tp,
                        fp=len(predicted) - tp, fn=len(gold) - tp)
 
 

@@ -38,21 +38,18 @@ def char_masks(pattern: str) -> dict[str, int]:
     return masks
 
 
-def prefix_distances(pattern: str, text: str,
-                     masks: dict[str, int] | None = None) -> list[int]:
+def prefix_distances(pattern: str, text: str) -> list[int]:
     """[levenshtein(pattern, text[:j]) for j in 1..len(text)] in one pass.
 
     Bit-parallel dynamic program (Myers, JACM 1999, in Hyyro's formulation
     for global distance): one column of the pattern-by-text DP is held as
     vertical +1/-1 delta bit-vectors, Python ints of len(pattern) bits, so a
-    text character costs a fixed number of integer operations. *masks* is
-    char_masks(pattern), passed in when the same pattern is reused.
+    text character costs a fixed number of integer operations.
     """
     m = len(pattern)
     if m == 0:
         return list(range(1, len(text) + 1))
-    if masks is None:
-        masks = char_masks(pattern)
+    masks = char_masks(pattern)
     full = (1 << m) - 1
     last = 1 << (m - 1)
     pv, mv, score = full, 0, m

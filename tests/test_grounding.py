@@ -66,18 +66,26 @@ def _decision_cases(seed: int, count: int):
             yield art, cand
 
 
-def _scan_every_start(art: str, cand: str) -> tuple[float, tuple[int, int]]:
+def _scan_every_start(art: str, cand: str, starts: bytearray | None = None
+                      ) -> tuple[float, tuple[int, int]]:
     """_best_window's (score, span), scoring each start on its own with
     text.prefix_distances: windows in order of length, then start, so the
-    strict > keeps the shortest, then leftmost, of equal scores."""
+    strict > keeps the shortest, then leftmost, of equal scores. With
+    *starts*, only the starts marked 1 are scored; (0.0, (0, 0)) when none
+    is."""
     n, length = len(art), len(cand)
     lo, hi = max(1, -(-4 * length // 5)), min(6 * length // 5, n)
     if n < lo:
         return similarity(cand, art), (0, n)
-    dists = [prefix_distances(cand, art[s:s + hi]) for s in range(n - lo + 1)]
+    scored = [s for s in range(n - lo + 1) if starts is None or starts[s]]
+    if not scored:
+        return 0.0, (0, 0)
+    dists = {s: prefix_distances(cand, art[s:s + hi]) for s in scored}
     best_score, best_span = -1.0, (0, 0)
     for j in range(lo, hi + 1):
-        for s in range(n - j + 1):
+        for s in scored:
+            if s > n - j:
+                break
             score = 1.0 - dists[s][j - 1] / max(length, j)
             if score > best_score:
                 best_score, best_span = score, (s, s + j)
@@ -169,6 +177,49 @@ class TestFuzzyContains:
                 art = "".join(art)[:n]
                 assert _best_window(art, cand) == _scan_every_start(
                     art, cand), (art, cand)
+
+    @pytest.mark.parametrize("length", [7, 8, 15, 16, 31, 32, 63, 64])
+    def test_marked_scan_equals_per_start_kernel(self, length):
+        # Marked starts: none, one, the last, every one, a random tenth, and
+        # runs whose pieces art[a:b - 1 + hi] (run a..b-1) overlap by one
+        # character, touch, or lie one character apart.
+        rng = random.Random(length)
+        lo, hi = max(1, -(-4 * length // 5)), 6 * length // 5
+        for alphabet in ("ab", "abc", "aé€𝄞"):
+            cand = "".join(rng.choice(alphabet) for _ in range(length))
+            for gaps in ((-1, 0), (0, 1), (1, -1)):
+                runs, a = [], rng.randint(0, 3)
+                for gap in gaps + (None,):
+                    b = a + rng.randint(1, 4)
+                    runs.append((a, b))
+                    if gap is not None:
+                        a = b - 1 + hi + gap
+                n = runs[-1][1] - 1 + lo + rng.randint(0, hi)
+                art = ""
+                while len(art) < n:  # edited copies of cand, end to end
+                    art += _perturb(rng, cand, alphabet, rng.randint(0, 3))
+                art = art[:n]
+                count = n - lo + 1
+                one, in_runs = bytearray(count), bytearray(count)
+                one[rng.randrange(count)] = 1
+                for a, b in runs:
+                    in_runs[a:b] = b"\x01" * (b - a)
+                for marks in (bytearray(count), one,
+                              bytearray(count - 1) + b"\x01",
+                              bytearray(b"\x01" * count), in_runs,
+                              bytearray(rng.random() < 0.1
+                                        for _ in range(count))):
+                    assert _best_window(art, cand, marks) == \
+                        _scan_every_start(art, cand, marks), (art, cand, marks)
+
+    def test_marked_runs_whose_pieces_overlap_by_one(self):
+        # The piece of start 0 is art[0:13] and start 12 is marked too. Read
+        # as two pieces, lane 12 would see art[12] twice: "aabcdefghij", an
+        # exact copy, where the article has only "abcdefghij" (one deletion).
+        art = "zzzzzzzzzzzzabcdefghijzzzz"
+        marks = bytearray(len(art) - 9 + 1)
+        marks[0] = marks[12] = 1
+        assert _best_window(art, "aabcdefghij", marks) == (1 - 1 / 11, (12, 22))
 
     def test_span_within_normalized_text(self):
         art = "  The DATASET  gse999 lives here  "

@@ -63,8 +63,43 @@ class TestMatchSets:
             assert m.fp == len(predicted) - m.tp
             assert m.fn == len(gold) - m.tp
 
+    def test_greedy_short_of_the_optimum_is_augmented(self):
+        # Greedy pairs the exact copies (1.0) and leaves two pairs at 0.8;
+        # crossing them gives two pairs at 0.9.
+        m = match_sets(["ABCDEFGHIJ", "ABCDEFGHYJ"],
+                       ["ABCDEFGHIJ", "ABCDEFGHIX"], 0.9)
+        assert (m.tp, m.fp, m.fn) == (2, 0, 0)
+        assert m.pairs == (("ABCDEFGHIJ", "ABCDEFGHIX", 0.9),
+                           ("ABCDEFGHYJ", "ABCDEFGHIJ", 0.9))
+        assert field_f1(m) == 1.0
+
+    def test_optimal_on_tied_similarities(self):
+        """tp is the optimum where similarities tie, which the acceptance
+        matching oracle skips."""
+        rng = random.Random(13)
+        tied = 0
+        for _ in range(400):
+            threshold = rng.choice((0.5, 0.7, 0.8, 0.9))
+            predicted, gold = (
+                ["".join(rng.choice("ab") for _ in range(rng.randint(1, 6)))
+                 for _ in range(rng.randint(0, 6))] for _ in range(2))
+            sims = [oracle_similarity(oracle_normalize(p), oracle_normalize(g))
+                    for p, g in itertools.product(predicted, gold)]
+            if len(set(sims)) == len(sims):
+                continue
+            tied += 1
+            m = match_sets(predicted, gold, threshold)
+            assert m.tp == oracle_optimal_tp(predicted, gold, threshold), (
+                predicted, gold, threshold)
+            for p, g, sim in m.pairs:
+                assert sim >= threshold
+                assert sim == oracle_similarity(oracle_normalize(p),
+                                                oracle_normalize(g))
+        assert tied > 200
+
     def test_pairs_equal_greedy_over_every_pair(self):
-        """Pairs skipped for their length gap are never ones greedy keeps."""
+        """Pairs skipped for their length gap are never ones greedy keeps;
+        where greedy is short of the optimum, the augmented tp is optimal."""
         rng = random.Random(12)
         for _ in range(150):
             threshold = rng.choice((0.5, 0.8, 0.9, 0.95))
@@ -86,7 +121,11 @@ class TestMatchSets:
                     used_gold.add(j)
                     expected.append((predicted[i], gold[j], -neg_sim))
             m = match_sets(predicted, gold, threshold)
-            assert m.pairs == tuple(expected)
+            optimal = oracle_optimal_tp(predicted, gold, threshold)
+            if len(expected) == optimal:
+                assert m.pairs == tuple(expected)
+            else:
+                assert m.tp == optimal, (predicted, gold, threshold)
 
 
 class TestFieldF1:
