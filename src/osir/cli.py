@@ -122,16 +122,12 @@ def extract(corpus_path: str, out_path: str, records_path: str | None,
 @click.option("--embellishment", "embellishment_mode",
               type=click.Choice(EMBELLISHMENT_MODES), default=None)
 @click.option("--min-reward", type=float, default=None,
-              help="With --select, keep only rewards >= this value.")
-@click.option("--select", is_flag=True, default=False,
-              help="Emit only completions whose reward clears --min-reward.")
+              help="Write only the rows whose reward r is >= this value.")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 def score(corpus_path: str, completions_path: str, gold_path: str,
-          out_path: str, min_reward: float | None, select: bool,
+          out_path: str, min_reward: float | None,
           config_path: str | None, **overrides) -> None:
     """Score completions against gold: f, e, v and the composite reward."""
-    if select and min_reward is None:
-        raise click.ClickException("--select requires --min-reward")
     with _user_errors():
         config = load_config(config_path, **overrides)
         articles = {a.id: a for a in load_corpus(corpus_path)}
@@ -139,7 +135,7 @@ def score(corpus_path: str, completions_path: str, gold_path: str,
                              key=lambda c: (c.article_id, c.sample_index))
         gold = {g.article_id: g for g in load_gold(gold_path)}
         rows = score_stage(parse_stage(completions), articles, gold, config)
-        if select:
+        if min_reward is not None:
             rows = [row for row in rows if row["r"] >= min_reward]
         write_jsonl(out_path, rows)
     click.echo(f"{len(rows)} reward rows -> {out_path}")

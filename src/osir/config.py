@@ -18,8 +18,9 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .backend import BACKEND_MODES
-from .evaluation import PASS1_MODES
-from .grounding import EMBELLISHMENT_MODES, Thresholds
+from .corpus import DEFAULT_TOKEN_BUDGET
+from .evaluation import DEFAULT_F1_FLOOR, PASS1_MODES
+from .grounding import DEFAULT_THRESHOLDS, EMBELLISHMENT_MODES, Thresholds
 from .indicators import GROUPINGS
 
 ENV_PREFIX = "OSIR_"
@@ -48,13 +49,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    token_budget: int = 25_000
+    token_budget: int = DEFAULT_TOKEN_BUDGET
     samples_per_article: int = 3
-    threshold_identifier: float = 0.95
-    threshold_citation: float = 0.90
+    threshold_identifier: float = DEFAULT_THRESHOLDS.identifier
+    threshold_citation: float = DEFAULT_THRESHOLDS.citation
     embellishment_mode: str = "fraction"
     pass1_mode: str = "mean"
-    f1_floor: float = 0.5
+    f1_floor: float = DEFAULT_F1_FLOOR
     group_by: str = "discipline"
     seed: int = 0
     backend_mode: str = "replay"

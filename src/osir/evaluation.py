@@ -1,16 +1,18 @@
 """Multi-sample evaluation against gold: pass@1 / pass@k metrics and flagging.
 
-Boolean fields are scored by accuracy, evidence lists by matching F1. With k
-samples per article, pass@1 averages over every sample while pass@k takes the
-best sample per article, so pass@k always dominates pass@1. Unparseable
-samples count as wrong (F1 zero): excluding them would flatter the model.
+The per-field rule comes from scoring.field_score, the one the reward's
+sub-scores use: booleans by accuracy, evidence lists by matching F1 at the
+field kind's threshold. With k samples per article, pass@1 averages over
+every sample while pass@k takes the best sample per article, so pass@k always
+dominates pass@1. Unparseable samples count as wrong (F1 zero): excluding
+them would flatter the model.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .extraction import (
     BOOLEAN_FIELDS,
@@ -19,11 +21,12 @@ from .extraction import (
     LIST_FIELDS,
     ParseOutcome,
     RawCompletion,
+    SCORED_FIELDS,
     parse_extraction,
 )
 from .grounding import DEFAULT_THRESHOLDS, Thresholds
 from .jsonl import write_json
-from .scoring import field_f1, match_sets
+from .scoring import field_score
 
 PASS1_MODES = ("mean", "first")
 
@@ -115,19 +118,14 @@ def majority_vote(records: list[ExtractionRecord], field: str) -> bool:
     return sum(1 for r in records if getattr(r, field)) * 2 > len(records)
 
 
-def _list_f1(field: str, threshold: float):
-    """Per-sample score of an evidence list: matching F1 against gold."""
-    return lambda record, want: field_f1(
-        match_sets(getattr(record, field), getattr(want, field), threshold))
-
-
 def _pass_metrics(
+    field: str,
     samples: list[SampleSet],
     gold: list[GoldAnnotation],
     pass1_mode: str,
-    score: Callable[[ExtractionRecord, ExtractionRecord], float],
+    thresholds: Thresholds,
 ) -> FieldMetrics:
-    """pass@1 and pass@k of a per-sample score; unparsed samples score 0.
+    """pass@1 and pass@k of one field's field_score; unparsed samples score 0.
 
     pass@1 averages the score over every (article, sample) pair ("mean"
     mode) or over first samples only ("first" mode); pass@k averages each
@@ -142,8 +140,8 @@ def _pass_metrics(
     best: list[float] = []
     for s in samples:
         want = by_id[s.article_id].record
-        scores = [score(o.record, want) if o.parsed else 0.0
-                  for o in s.outcomes]
+        scores = [field_score(field, o.record, want, thresholds)
+                  if o.parsed else 0.0 for o in s.outcomes]
         pass1.extend(scores[:1] if pass1_mode == "first" else scores)
         best.append(max(scores, default=0.0))
     return FieldMetrics(pass_at_1=sum(pass1) / len(pass1),
@@ -161,10 +159,7 @@ def evaluate_boolean_field(
     A sample is correct iff it parsed and its boolean equals gold; pass@k is
     the fraction of articles with at least one correct sample.
     """
-    return _pass_metrics(
-        samples, gold, pass1_mode,
-        lambda record, want: float(getattr(record, field)
-                                   == getattr(want, field)))
+    return _pass_metrics(field, samples, gold, pass1_mode, DEFAULT_THRESHOLDS)
 
 
 def evaluate_list_field(
@@ -179,14 +174,18 @@ def evaluate_list_field(
     pass@1 averages per-sample F1; pass@k averages each article's best
     sample F1.
     """
-    return _pass_metrics(samples, gold, pass1_mode,
-                         _list_f1(field, threshold))
+    return _pass_metrics(field, samples, gold, pass1_mode,
+                         Thresholds(threshold, threshold))
+
+
+#: Best-sample F1 below which flag_disagreements flags a list field.
+DEFAULT_F1_FLOOR = 0.5
 
 
 def flag_disagreements(
     samples: list[SampleSet],
     gold: list[GoldAnnotation],
-    f1_floor: float = 0.5,
+    f1_floor: float = DEFAULT_F1_FLOOR,
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
 ) -> list[FlaggedArticle]:
     """Articles whose samples disagree with gold enough to warrant review.
@@ -205,8 +204,8 @@ def flag_disagreements(
             if majority_vote(parsed, name) != getattr(want, name):
                 reasons.append(f"{name} majority disagreement")
         for name in LIST_FIELDS:
-            f1 = _list_f1(name, thresholds.for_field(name))
-            best = max((f1(r, want) for r in parsed), default=0.0)
+            best = max((field_score(name, r, want, thresholds)
+                        for r in parsed), default=0.0)
             if best < f1_floor:
                 reasons.append(
                     f"{name} best F1 {best:.2f} below floor {f1_floor:.2f}")
@@ -225,21 +224,14 @@ def build_eval_report(
     if not samples:
         raise EvaluationError("no samples")
     k = len(samples[0].outcomes)
-    booleans = {
-        name: evaluate_boolean_field(name, samples, gold, pass1_mode)
-        for name in BOOLEAN_FIELDS
-    }
-    lists = {
-        name: evaluate_list_field(name, samples, gold,
-                                  thresholds.for_field(name), pass1_mode)
-        for name in LIST_FIELDS
-    }
+    metrics = {name: _pass_metrics(name, samples, gold, pass1_mode, thresholds)
+               for name in SCORED_FIELDS}
     return EvalReport(
         articles=len(samples),
         samples_per_article=k,
         pass1_mode=pass1_mode,
-        boolean_fields=booleans,
-        list_fields=lists,
+        boolean_fields={name: metrics[name] for name in BOOLEAN_FIELDS},
+        list_fields={name: metrics[name] for name in LIST_FIELDS},
         config={
             "threshold_identifier": thresholds.identifier,
             "threshold_citation": thresholds.citation,

@@ -88,14 +88,22 @@ class AccessionStats:
     accessions: tuple[str, ...]  # canonical, sorted
 
 
+def _canonical_accessions(values: Iterable[str]) -> set[str]:
+    """The canonical forms of accession *values*; a blank value, or one whose
+    canonical form is empty (such as "." or "()"), names no accession."""
+    canonical = (canonicalize_identifier("accession", value)
+                 for value in values if value.strip())
+    return {c for c in canonical if c}
+
+
 def resolve_verdict(samples: SampleSet) -> ArticleVerdict:
     """Reduce one article's samples to a single verdict.
 
     Booleans resolve by majority vote over parsed samples (exact ties resolve
-    to False). Evidence is unioned across parsed samples. Trace
-    flags reflect whether any sample carried a non-empty description for the
-    category. Zero parsed samples yield an unresolved verdict with both
-    booleans false.
+    to False). Evidence is unioned across parsed samples; an accession whose
+    canonical form is empty counts nowhere. Trace flags reflect whether any
+    sample carried a non-empty description for the category. Zero parsed
+    samples yield an unresolved verdict with both booleans false.
     """
     if not samples.outcomes:
         raise ValueError(f"article {samples.article_id!r}: no samples")
@@ -110,17 +118,14 @@ def resolve_verdict(samples: SampleSet) -> ArticleVerdict:
     generated = majority_vote(parsed, "new_data_generated")
     reused = majority_vote(parsed, "reuse_data")
 
-    accession_union: set[str] = set()
+    new_accession = False
     reused_accessions: set[str] = set()
     gen_trace = False
     reuse_trace = False
     for r in parsed:
-        for value in r.new_data_accessions + r.reuse_data_accessions:
-            if value.strip():
-                accession_union.add(canonicalize_identifier("accession", value))
-        for value in r.reuse_data_accessions:
-            if value.strip():
-                reused_accessions.add(canonicalize_identifier("accession", value))
+        reused_accessions |= _canonical_accessions(r.reuse_data_accessions)
+        new_accession = (new_accession
+                         or bool(_canonical_accessions(r.new_data_accessions)))
         if r.new_data_description and r.new_data_description.strip():
             gen_trace = True
         if r.reuse_data_description and r.reuse_data_description.strip():
@@ -131,7 +136,7 @@ def resolve_verdict(samples: SampleSet) -> ArticleVerdict:
         new_data_generated=generated,
         data_reused=reused,
         neither=not generated and not reused,
-        has_accession=bool(accession_union),
+        has_accession=new_accession or bool(reused_accessions),
         has_generation_trace=gen_trace,
         has_reuse_trace=reuse_trace,
         reused_accessions=tuple(sorted(reused_accessions)),

@@ -15,7 +15,6 @@ from .extraction import (
     BOOLEAN_FIELDS,
     ExtractionRecord,
     GoldAnnotation,
-    LIST_FIELDS,
     ParseOutcome,
     RawCompletion,
     SCORED_FIELDS,
@@ -114,6 +113,17 @@ def field_f1(matching: SetMatching) -> float:
     return 2 * matching.tp / denom
 
 
+def field_score(name: str, record: ExtractionRecord, want: ExtractionRecord,
+                thresholds: Thresholds) -> float:
+    """One scored field of *record* against gold *want*: a boolean scores 1
+    when equal, else 0, an evidence list its matching F1 at its field kind's
+    threshold. Rewards, pass@k and review flags all score a field here."""
+    if name in BOOLEAN_FIELDS:
+        return 1.0 if getattr(record, name) == getattr(want, name) else 0.0
+    return field_f1(match_sets(getattr(record, name), getattr(want, name),
+                               thresholds.for_field(name)))
+
+
 def accuracy_reward(
     record: ExtractionRecord,
     gold: GoldAnnotation,
@@ -122,22 +132,16 @@ def accuracy_reward(
 ) -> tuple[float, dict[str, float]]:
     """Agreement with the gold annotation, with partial credit on lists.
 
-    Boolean fields score 1 when equal, else 0; each evidence list scores its
-    matching F1. The aggregate is the unweighted mean of the ten sub-scores
+    v is the unweighted mean of the ten scored fields' field_score
     (descriptions are not scored). Returns (v, sub_scores).
     """
     if article_id is not None and article_id != gold.article_id:
         raise ValueError(
             f"article id mismatch: record is for {article_id!r}, "
             f"gold is for {gold.article_id!r}")
-    sub: dict[str, float] = {}
-    for name in BOOLEAN_FIELDS:
-        sub[name] = 1.0 if getattr(record, name) == getattr(gold.record, name) else 0.0
-    for name in LIST_FIELDS:
-        matching = match_sets(getattr(record, name), getattr(gold.record, name),
-                              thresholds.for_field(name))
-        sub[name] = field_f1(matching)
-    v = sum(sub[name] for name in SCORED_FIELDS) / len(SCORED_FIELDS)
+    sub = {name: field_score(name, record, gold.record, thresholds)
+           for name in SCORED_FIELDS}
+    v = sum(sub.values()) / len(SCORED_FIELDS)
     return v, sub
 
 

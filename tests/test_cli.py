@@ -23,7 +23,12 @@ from conftest import (
     make_record,
     write_jsonl,
 )
-from osir.extraction import GoldAnnotation
+from osir.extraction import (
+    GoldAnnotation,
+    RawCompletion,
+    SCORED_FIELDS,
+    parse_extraction,
+)
 
 
 @pytest.fixture
@@ -116,27 +121,24 @@ class TestScore:
 
     def test_select_filters_by_min_reward(self, runner, bundle, tmp_path):
         completions = self.extract_first(runner, bundle, tmp_path)
-        out = tmp_path / "selected.jsonl"
-        result = runner.invoke(main, [
-            "score", "--corpus", str(bundle["corpus"]),
-            "--completions", str(completions),
-            "--gold", str(bundle["gold"]), "--out", str(out),
-            "--min-reward", "0.9", "--select",
-        ])
-        assert result.exit_code == 0, result.output
-        rows = [json.loads(line) for line in out.read_text().splitlines()]
-        assert rows, "replayed gold completions should clear 0.9"
-        assert all(row["r"] >= 0.9 for row in rows)
-
-    def test_select_requires_min_reward(self, runner, bundle, tmp_path):
-        completions = self.extract_first(runner, bundle, tmp_path)
-        result = runner.invoke(main, [
-            "score", "--corpus", str(bundle["corpus"]),
-            "--completions", str(completions),
-            "--gold", str(bundle["gold"]),
-            "--out", str(tmp_path / "x.jsonl"), "--select",
-        ])
-        assert result.exit_code != 0
+        outputs = {}
+        for name, extra in (("all", []),
+                            ("selected", ["--min-reward", "0.9"])):
+            outputs[name] = tmp_path / f"{name}.jsonl"
+            result = runner.invoke(main, [
+                "score", "--corpus", str(bundle["corpus"]),
+                "--completions", str(completions),
+                "--gold", str(bundle["gold"]), "--out", str(outputs[name]),
+                *extra,
+            ])
+            assert result.exit_code == 0, result.output
+        rows = {name: [json.loads(line)
+                       for line in path.read_text().splitlines()]
+                for name, path in outputs.items()}
+        assert rows["selected"], "replayed gold completions should clear 0.9"
+        assert rows["selected"] == [row for row in rows["all"]
+                                    if row["r"] >= 0.9]
+        assert len(rows["selected"]) < len(rows["all"])
 
 
 class TestEval:
@@ -396,3 +398,62 @@ class TestStageChain:
             verdicts = [json.loads(line) for line in
                         (ran / "verdicts.jsonl").read_text().splitlines()]
             assert sum(v["unresolved"] for v in verdicts) == 12
+
+
+def perturb_lists(fixture, seed):
+    """Rewrite about half of the parseable samples in *fixture* so that their
+    evidence lists only partly agree with gold: one extra accession (F1 2/3),
+    and a DOI and a citation a few characters off gold, which match only
+    below their field kind's threshold (F1 0)."""
+    rng = random.Random(seed)
+    rows = [json.loads(line) for line in fixture.read_text().splitlines()]
+    for row in rows:
+        outcome = parse_extraction(RawCompletion(
+            row["article_id"], row["sample_index"], row["text"]))
+        if outcome.parsed and rng.random() < 0.5:
+            record = outcome.record
+            row["text"] = completion_text(replace(
+                record,
+                new_data_accessions=record.new_data_accessions + ("GSE1",),
+                new_data_dois=(record.new_data_dois[0] + "9",),
+                reuse_data_citations=(record.reuse_data_citations[0]
+                                      + " (2020)",)))
+    write_jsonl(fixture, rows)
+
+
+class TestScoreAndEvalAgree:
+    """osir eval's pass@1 and pass@k are means of the reward's sub-scores."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_pass_metrics_are_means_of_sub_scores(self, runner, tmp_path,
+                                                  seed):
+        paths = build_unparseable_bundle(tmp_path / "in", seed)
+        perturb_lists(paths["fixture"], seed)
+        ran, report_path = tmp_path / "run", tmp_path / "report.json"
+        for args in (
+            ["run", "--corpus", str(paths["corpus"]),
+             "--gold", str(paths["gold"]), "--backend", "replay",
+             "--fixture", str(paths["fixture"]), "--out", str(ran)],
+            ["eval", "--completions", str(ran / "completions.jsonl"),
+             "--gold", str(paths["gold"]), "--out", str(report_path)],
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+        rows = [json.loads(line) for line in
+                (ran / "rewards.jsonl").read_text().splitlines()]
+        report = json.loads(report_path.read_text())
+        assert report["pass1_mode"] == "mean"
+        metrics = {**report["boolean_fields"], **report["list_fields"]}
+        assert sorted(metrics) == sorted(SCORED_FIELDS)
+        assert any(not row["sub_scores"] for row in rows)
+        assert any(0 < row["sub_scores"].get("new_data_accessions", 0) < 1
+                   for row in rows)
+        for field in SCORED_FIELDS:
+            scores = [row["sub_scores"].get(field, 0.0) for row in rows]
+            best: dict[str, float] = {}
+            for row, score in zip(rows, scores):
+                best[row["article_id"]] = max(
+                    best.get(row["article_id"], 0.0), score)
+            assert metrics[field]["pass_at_1"] == sum(scores) / len(scores)
+            assert metrics[field]["pass_at_k"] == \
+                sum(best.values()) / len(best)

@@ -75,13 +75,23 @@ class TestResolveVerdict:
 
     def test_evidence_union_and_canonicalization(self):
         records = [
-            make_record(reuse_data_accessions=("gse12345",)),
+            make_record(reuse_data_accessions=("gse12345", "()")),
             make_record(reuse_data_accessions=("GSE12345.", "GSE777")),
             make_record(new_data_accessions=("PRJNA1",)),
         ]
         v = resolve_verdict(parsed_samples("A1", records))
         assert v.reused_accessions == ("GSE12345", "GSE777")
         assert v.has_accession is True
+
+    def test_empty_canonical_accession_counts_nowhere(self):
+        records = [make_record(reuse_data_accessions=(".", "()")),
+                   make_record(new_data_accessions=("[ ]", " "))]
+        v = resolve_verdict(parsed_samples("A1", records))
+        assert v.reused_accessions == ()
+        assert v.has_accession is False
+        stats = accession_stats([v])
+        assert stats.articles_with_accession == 0
+        assert stats.accessions == ()
 
     def test_no_samples_rejected(self):
         with pytest.raises(ValueError, match="no samples"):
