@@ -152,11 +152,12 @@ def score(corpus_path: str, completions_path: str, gold_path: str,
 @click.option("--flag-floor", "f1_floor", type=float, default=None,
               help="Best-sample F1 floor below which articles get flagged.")
 @click.option("--out", "out_path", required=True, type=click.Path())
+@click.option("--config", "config_path", type=click.Path(), default=None)
 def eval_command(completions_path: str, gold_path: str, out_path: str,
-                 **overrides) -> None:
+                 config_path: str | None, **overrides) -> None:
     """Evaluate completions against gold and print the metrics table."""
     with _user_errors():
-        config = load_config(None, **overrides)
+        config = load_config(config_path, **overrides)
         completions = load_completions(completions_path)
         gold = load_gold(gold_path)
         samples = build_sample_sets(completions,

@@ -1,5 +1,7 @@
 """Article corpora: loading, token counting, and budgeted middle-truncation.
 
+A token is a maximal run of characters that are not ``str.isspace()``.
+
 A corpus is a UTF-8 line-delimited file, one JSON object per line with fields
 ``id`` (required), ``title``, ``body_markdown`` (required), ``discipline``,
 ``region`` and optional ``published`` (ISO-8601 date).
@@ -14,7 +16,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .jsonl import iter_jsonl, write_jsonl
-from .text import normalize_text, token_spans, whitespace_token_count
+from .text import normalize_text
 
 TRUNCATION_MARKER = "[TRUNCATED]"
 DEFAULT_TOKEN_BUDGET = 25_000
@@ -48,6 +50,8 @@ when there is no evidence for a category.
 
 Article:
 """
+PREAMBLE_TOKENS = len(PROMPT_PREAMBLE.split())
+MARKER_TOKENS = len(TRUNCATION_MARKER.split())
 
 
 class CorpusError(ValueError):
@@ -102,7 +106,7 @@ class PreparedPrompt:
 
 def count_tokens(text: str) -> int:
     """The number of maximal non-whitespace runs in *text*."""
-    return whitespace_token_count(text)
+    return len(text.split())
 
 
 def _article_from_payload(payload: dict, line_no: int) -> Article:
@@ -170,7 +174,8 @@ def save_corpus(articles: Iterable[Article], path: str | Path) -> None:
     write_jsonl(path, map(article_to_payload, articles))
 
 
-def truncate_middle(text: str, budget: int) -> tuple[str, bool]:
+def truncate_middle(text: str, budget: int,
+                    tokens: int | None = None) -> tuple[str, bool]:
     """Truncate *text* to at most *budget* tokens, cutting from the middle.
 
     Returns (text, truncated). When the text fits the budget it is returned
@@ -178,24 +183,25 @@ def truncate_middle(text: str, budget: int) -> tuple[str, bool]:
     floor((budget - m) / 2) tokens are kept (m = the marker's own token
     count), joined by the marker on its own line, which makes exactly
     *budget* tokens. Original whitespace inside the kept prefix and suffix is
-    preserved.
+    preserved. *tokens* is count_tokens(text) when the caller already has it.
+    The cuts come from str.split / str.rsplit with a maxsplit, not from a
+    list of token spans.
 
     Odd remainders favor the prefix; the first and last tokens of an
     over-budget input always survive. Idempotent for a fixed budget.
     """
-    marker_cost = count_tokens(TRUNCATION_MARKER)
-    if budget < marker_cost + 2:
+    if budget < MARKER_TOKENS + 2:
         raise ValueError(
-            f"budget {budget} too small: need the marker ({marker_cost} tokens) "
-            f"plus at least one token on each side"
+            f"budget {budget} too small: need the marker ({MARKER_TOKENS} "
+            f"tokens) plus at least one token on each side"
         )
-    if count_tokens(text) <= budget:
+    if (count_tokens(text) if tokens is None else tokens) <= budget:
         return text, False
 
-    spans = token_spans(text)
-    keep = budget - marker_cost
-    prefix = text[spans[0][0] : spans[(keep + 1) // 2 - 1][1]]
-    suffix = text[spans[-(keep // 2)][0] : spans[-1][1]]
+    keep = budget - MARKER_TOKENS
+    head, tail = (keep + 1) // 2, keep // 2
+    prefix = text[: len(text) - len(text.split(None, head)[-1])].strip()
+    suffix = text[len(text.rsplit(None, tail)[0]) :].strip()
     return f"{prefix}\n{TRUNCATION_MARKER}\n{suffix}", True
 
 
@@ -206,15 +212,17 @@ def build_prompt(
     """Assemble the instruction preamble and (possibly truncated) article body.
 
     The preamble's tokens count against the budget, so the body receives
-    whatever remains. Deterministic: the same article always yields a
-    byte-identical prompt.
+    whatever remains. The body is tokenized once: a truncated body has
+    exactly the body budget's tokens, and the preamble ends in a newline, so
+    joining it to the body merges no tokens. Deterministic: the same article
+    always yields a byte-identical prompt.
     """
-    body_budget = budget - count_tokens(PROMPT_PREAMBLE)
-    body, truncated = truncate_middle(article.body, body_budget)
-    prompt_text = f"{PROMPT_PREAMBLE}\n{body}"
+    body_budget = budget - PREAMBLE_TOKENS
+    body_tokens = count_tokens(article.body)
+    body, truncated = truncate_middle(article.body, body_budget, body_tokens)
     return PreparedPrompt(
         article_id=article.id,
-        text=prompt_text,
-        token_count=count_tokens(prompt_text),
+        text=f"{PROMPT_PREAMBLE}\n{body}",
+        token_count=PREAMBLE_TOKENS + min(body_tokens, body_budget),
         truncated=truncated,
     )

@@ -1,4 +1,4 @@
-"""Text normalization, whitespace tokenization, and edit-distance primitives.
+"""Text normalization and edit-distance primitives.
 
 Everything in this module is deterministic and dependency-free so that the
 matching layers built on top of it stay reproducible across runs.
@@ -9,7 +9,6 @@ from __future__ import annotations
 import re
 
 _WS_RUN = re.compile(r"\s+")
-_TOKEN = re.compile(r"\S+")
 
 
 def normalize_text(s: str) -> str:
@@ -18,16 +17,6 @@ def normalize_text(s: str) -> str:
     Idempotent: normalize_text(normalize_text(s)) == normalize_text(s).
     """
     return _WS_RUN.sub(" ", s).strip().casefold()
-
-
-def token_spans(text: str) -> list[tuple[int, int]]:
-    """Return (start, end) character offsets of each maximal non-whitespace run."""
-    return [m.span() for m in _TOKEN.finditer(text)]
-
-
-def whitespace_token_count(text: str) -> int:
-    """Number of maximal non-whitespace runs in *text*."""
-    return sum(1 for _ in _TOKEN.finditer(text))
 
 
 def char_masks(pattern: str) -> dict[str, int]:

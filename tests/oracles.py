@@ -2,12 +2,16 @@
 
 These deliberately avoid the production code paths: the edit distance is a
 full-matrix textbook DP, the window scan enumerates every window with no
-short-circuits, and the set matcher tries every one-to-one assignment.
+short-circuits, the set matcher tries every one-to-one assignment, and the
+tokenizer lists the spans of a regular expression.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
+
+_TOKEN = re.compile(r"\S+")
 
 
 def oracle_normalize(s: str) -> str:
@@ -111,3 +115,20 @@ def oracle_pairwise_sims(predicted: list[str], gold: list[str]) -> list[float]:
         oracle_similarity(oracle_normalize(p), oracle_normalize(g))
         for p, g in itertools.product(predicted, gold)
     ]
+
+
+def oracle_count_tokens(text: str) -> int:
+    return sum(1 for _ in _TOKEN.finditer(text))
+
+
+def oracle_truncate_middle(text: str, budget: int,
+                           marker: str) -> tuple[str, bool]:
+    """Keep the first ceil and last floor of (budget - marker tokens) token
+    spans, with the text between the kept spans of each side verbatim."""
+    if oracle_count_tokens(text) <= budget:
+        return text, False
+    spans = [m.span() for m in _TOKEN.finditer(text)]
+    keep = budget - oracle_count_tokens(marker)
+    prefix = text[spans[0][0]:spans[(keep + 1) // 2 - 1][1]]
+    suffix = text[spans[-(keep // 2)][0]:spans[-1][1]]
+    return f"{prefix}\n{marker}\n{suffix}", True

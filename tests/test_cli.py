@@ -164,6 +164,34 @@ class TestEval:
         for metrics in payload["list_fields"].values():
             assert metrics["pass_at_k"] >= metrics["pass_at_1"]
 
+    def test_config_file_sets_thresholds(self, runner, tmp_path):
+        paths = build_unparseable_bundle(tmp_path / "in", seed=3)
+        perturb_lists(paths["fixture"], seed=3)
+        completions = tmp_path / "completions.jsonl"
+        result = runner.invoke(main, [
+            "extract", "--corpus", str(paths["corpus"]),
+            "--backend", "replay", "--fixture", str(paths["fixture"]),
+            "--out", str(completions)])
+        assert result.exit_code == 0, result.output
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"threshold_citation": 0.5}))
+        reports = {}
+        for name, extra in (("default", []), ("config", ["--config",
+                                                         str(config)])):
+            reports[name] = tmp_path / f"{name}.json"
+            result = runner.invoke(main, [
+                "eval", "--completions", str(completions),
+                "--gold", str(paths["gold"]), "--out", str(reports[name]),
+                *extra])
+            assert result.exit_code == 0, result.output
+        default, configured = (json.loads(reports[name].read_text())
+                               for name in ("default", "config"))
+        assert default["config"]["threshold_citation"] != 0.5
+        assert configured["config"]["threshold_citation"] == 0.5
+        citations = ("list_fields", "reuse_data_citations", "pass_at_1")
+        assert (configured[citations[0]][citations[1]][citations[2]]
+                > default[citations[0]][citations[1]][citations[2]])
+
 
 class TestFilterGold:
     def test_removals_report(self, runner, tmp_path):

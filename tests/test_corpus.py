@@ -1,12 +1,17 @@
 """Corpus loading, token counting, and middle-truncation."""
 
 import random
+import re
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osir.corpus import (
     Article,
     CorpusError,
+    PROMPT_PREAMBLE,
     TRUNCATION_MARKER,
     build_prompt,
     count_tokens,
@@ -16,6 +21,20 @@ from osir.corpus import (
 )
 
 from conftest import corpus_row, make_article, write_jsonl
+from oracles import oracle_count_tokens, oracle_truncate_middle
+
+# Whitespace of every class that str.isspace() and re's \s both accept,
+# "\r\n" pairs, and the zero-width look-alikes U+200B and U+FEFF, which are
+# not whitespace and so belong to tokens.
+WHITESPACE = [" ", "\t", "\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d",
+              "\x1e", "\x1f", "\x85", "\xa0", "\u1680", "\u2000", "\u200a",
+              "\u2028", "\u2029", "\u202f", "\u205f", "\u3000"]
+_ws = st.lists(st.sampled_from(WHITESPACE), max_size=3).map("".join)
+_word = st.sampled_from(["a", "bc", "\u200b", "\ufeff", "\u00e9",
+                         "\U0001f600"])
+_texts = st.builds(
+    lambda lead, pairs: lead + "".join(w + ws for w, ws in pairs),
+    _ws, st.lists(st.tuples(_word, _ws), max_size=50))
 
 
 class TestLoadCorpus:
@@ -130,6 +149,14 @@ class TestCountTokens:
             b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
             assert count_tokens(a + b) >= max(count_tokens(a), count_tokens(b))
 
+    def test_separators_are_exactly_re_whitespace(self):
+        # Pins, on the running Python, that str.split() and re's \s agree on
+        # every code point.
+        for cp in range(sys.maxunicode + 1):
+            c = chr(cp)
+            assert (count_tokens("a" + c + "b") == 2) == \
+                bool(re.fullmatch(r"\s", c)), hex(cp)
+
 
 class TestTruncateMiddle:
     def test_under_budget_unchanged(self):
@@ -181,8 +208,43 @@ class TestBuildPrompt:
         prompt = build_prompt(art, budget=500)
         assert prompt.truncated is True
         assert prompt.text.count(TRUNCATION_MARKER) == 1
-        assert prompt.token_count <= 500
+        assert prompt.token_count == 500 == count_tokens(prompt.text)
+
+    @pytest.mark.parametrize("extra,truncated", [(0, False), (1, True)])
+    def test_body_at_and_just_over_the_body_budget(self, extra, truncated):
+        budget = 500
+        body_budget = budget - count_tokens(PROMPT_PREAMBLE)
+        art = make_article(
+            "A1", " ".join(f"w{i}" for i in range(body_budget + extra)))
+        prompt = build_prompt(art, budget=budget)
+        assert prompt.truncated is truncated
+        assert prompt.token_count == budget == count_tokens(prompt.text)
 
     def test_deterministic(self):
         art = make_article("A1", " ".join(f"w{i}" for i in range(1_000)))
         assert build_prompt(art, 300) == build_prompt(art, 300)
+
+
+class TestTokenizerOracle:
+    """count_tokens, truncate_middle and build_prompt against the regex
+    tokenizer of tests/oracles.py."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=_texts, data=st.data())
+    def test_agrees_with_oracle(self, text, data):
+        # Budgets from 3 up to one past the token count, so that many texts
+        # are cut.
+        budget = data.draw(st.integers(
+            min_value=3, max_value=max(3, oracle_count_tokens(text) + 1)))
+        assert count_tokens(text) == oracle_count_tokens(text)
+        assert truncate_middle(text, budget) == \
+            oracle_truncate_middle(text, budget, TRUNCATION_MARKER)
+        if not text:
+            return
+        prompt_budget = oracle_count_tokens(PROMPT_PREAMBLE) + budget
+        prompt = build_prompt(make_article("A1", text), prompt_budget)
+        body, truncated = oracle_truncate_middle(text, budget,
+                                                 TRUNCATION_MARKER)
+        want = f"{PROMPT_PREAMBLE}\n{body}"
+        assert (prompt.text, prompt.token_count, prompt.truncated) == \
+            (want, oracle_count_tokens(want), truncated)
