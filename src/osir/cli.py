@@ -26,6 +26,7 @@ from .evaluation import (
     flag_disagreements,
     render_report_table,
     save_report,
+    score_samples,
 )
 from .extraction import (
     ParseOutcome,
@@ -162,10 +163,12 @@ def eval_command(completions_path: str, gold_path: str, out_path: str,
         gold = load_gold(gold_path)
         samples = build_sample_sets(completions,
                                     overrides["samples_per_article"])
+        thresholds = config.thresholds()
+        scores = score_samples(samples, gold, thresholds)
         report = build_eval_report(samples, gold, config.pass1_mode,
-                                   config.thresholds())
+                                   thresholds, scores)
         flagged = flag_disagreements(samples, gold, config.f1_floor,
-                                     config.thresholds())
+                                     thresholds, scores)
         save_report(report, out_path)
     click.echo(render_report_table(report))
     click.echo(f"\n{len(flagged)} articles flagged for review")

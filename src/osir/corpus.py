@@ -60,7 +60,12 @@ class CorpusError(ValueError):
 
 @dataclass(frozen=True)
 class Article:
-    """One publication: identifier, markdown body, and grouping metadata."""
+    """One publication: identifier, markdown body, and grouping metadata.
+
+    An Article object also holds what grounding computes from its body (the
+    normalized body and the grounding memo), so that work is done once per
+    loaded article and is dropped with it.
+    """
 
     id: str
     title: str
@@ -92,6 +97,13 @@ class Article:
         """normalize_text(body), computed once per Article object, so that
         grounding all of an article's completions normalizes its body once."""
         return normalize_text(self.body)
+
+    @cached_property
+    def grounding_memo(self) -> dict:
+        """grounding's results against this Article object, keyed by
+        (prepared candidate, threshold, exact_score), so that a string that
+        recurs across an article's samples or gold is grounded once."""
+        return {}
 
 
 @dataclass(frozen=True)

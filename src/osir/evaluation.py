@@ -118,34 +118,62 @@ def majority_vote(records: list[ExtractionRecord], field: str) -> bool:
     return sum(1 for r in records if getattr(r, field)) * 2 > len(records)
 
 
-def _pass_metrics(
-    field: str,
+#: Per SampleSet, in order: field name -> the field_score of each sample, by
+#: sample index, 0.0 for an unparsed sample.
+SampleScores = list[dict[str, list[float]]]
+
+
+def score_samples(
+    samples: list[SampleSet],
+    gold: list[GoldAnnotation],
+    thresholds: Thresholds = DEFAULT_THRESHOLDS,
+    fields: tuple[str, ...] = SCORED_FIELDS,
+) -> SampleScores:
+    """field_score of every sample of *samples* on each of *fields*, so that
+    the report and the review flags share one scoring of each sample."""
+    by_id = _gold_map(gold, samples)
+    scores: SampleScores = []
+    for s in samples:
+        want = by_id[s.article_id].record
+        scores.append({name: [field_score(name, o.record, want, thresholds)
+                              if o.parsed else 0.0 for o in s.outcomes]
+                       for name in fields})
+    return scores
+
+
+def _field_metrics(
+    fields: tuple[str, ...],
     samples: list[SampleSet],
     gold: list[GoldAnnotation],
     pass1_mode: str,
     thresholds: Thresholds,
-) -> FieldMetrics:
-    """pass@1 and pass@k of one field's field_score; unparsed samples score 0.
+    scores: SampleScores | None = None,
+) -> dict[str, FieldMetrics]:
+    """pass@1 and pass@k of each field's field_score; unparsed samples
+    score 0.
 
     pass@1 averages the score over every (article, sample) pair ("mean"
     mode) or over first samples only ("first" mode); pass@k averages each
-    article's best sample.
+    article's best sample. *scores* is score_samples' result for *samples*,
+    when the caller already has it.
     """
     if pass1_mode not in PASS1_MODES:
         raise ValueError(f"unknown pass@1 mode: {pass1_mode!r}")
     if not samples:
         raise EvaluationError("no samples")
-    by_id = _gold_map(gold, samples)
-    pass1: list[float] = []
-    best: list[float] = []
-    for s in samples:
-        want = by_id[s.article_id].record
-        scores = [field_score(field, o.record, want, thresholds)
-                  if o.parsed else 0.0 for o in s.outcomes]
-        pass1.extend(scores[:1] if pass1_mode == "first" else scores)
-        best.append(max(scores, default=0.0))
-    return FieldMetrics(pass_at_1=sum(pass1) / len(pass1),
-                        pass_at_k=sum(best) / len(best))
+    if scores is None:
+        scores = score_samples(samples, gold, thresholds, fields)
+    metrics = {}
+    for name in fields:
+        pass1: list[float] = []
+        best: list[float] = []
+        for article in scores:
+            field = article[name]
+            pass1.extend(field[:1] if pass1_mode == "first" else field)
+            best.append(max(field, default=0.0))
+        metrics[name] = FieldMetrics(pass_at_1=sum(pass1) / len(pass1),
+                                     pass_at_k=sum(best) / len(best))
+    return metrics
 
 
 def evaluate_boolean_field(
@@ -159,7 +187,8 @@ def evaluate_boolean_field(
     A sample is correct iff it parsed and its boolean equals gold; pass@k is
     the fraction of articles with at least one correct sample.
     """
-    return _pass_metrics(field, samples, gold, pass1_mode, DEFAULT_THRESHOLDS)
+    return _field_metrics((field,), samples, gold, pass1_mode,
+                          DEFAULT_THRESHOLDS)[field]
 
 
 def evaluate_list_field(
@@ -174,8 +203,8 @@ def evaluate_list_field(
     pass@1 averages per-sample F1; pass@k averages each article's best
     sample F1.
     """
-    return _pass_metrics(field, samples, gold, pass1_mode,
-                         Thresholds(threshold, threshold))
+    return _field_metrics((field,), samples, gold, pass1_mode,
+                          Thresholds(threshold, threshold))[field]
 
 
 #: Best-sample F1 below which flag_disagreements flags a list field.
@@ -187,16 +216,20 @@ def flag_disagreements(
     gold: list[GoldAnnotation],
     f1_floor: float = DEFAULT_F1_FLOOR,
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
+    scores: SampleScores | None = None,
 ) -> list[FlaggedArticle]:
     """Articles whose samples disagree with gold enough to warrant review.
 
     Flags when the majority vote of parsed samples contradicts gold on either
     boolean (ties count as False), or when any list field's best-sample F1
-    falls below the floor.
+    falls below the floor. *scores* is score_samples' result for *samples*,
+    when the caller already has it.
     """
     by_id = _gold_map(gold, samples)
+    if scores is None:
+        scores = score_samples(samples, gold, thresholds, LIST_FIELDS)
     flagged: list[FlaggedArticle] = []
-    for s in samples:
+    for s, fields in zip(samples, scores):
         want = by_id[s.article_id].record
         reasons: list[str] = []
         parsed = [o.record for o in s.outcomes if o.parsed]
@@ -204,8 +237,9 @@ def flag_disagreements(
             if majority_vote(parsed, name) != getattr(want, name):
                 reasons.append(f"{name} majority disagreement")
         for name in LIST_FIELDS:
-            best = max((field_score(name, r, want, thresholds)
-                        for r in parsed), default=0.0)
+            # An unparsed sample scores 0, the least F1, so the best over
+            # every sample is the best over the parsed ones (0 if none).
+            best = max(fields[name], default=0.0)
             if best < f1_floor:
                 reasons.append(
                     f"{name} best F1 {best:.2f} below floor {f1_floor:.2f}")
@@ -219,13 +253,15 @@ def build_eval_report(
     gold: list[GoldAnnotation],
     pass1_mode: str = "mean",
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
+    scores: SampleScores | None = None,
 ) -> EvalReport:
-    """Evaluate all ten scored fields and assemble the report."""
+    """Evaluate all ten scored fields and assemble the report. *scores* is
+    score_samples' result for *samples*, when the caller already has it."""
     if not samples:
         raise EvaluationError("no samples")
     k = len(samples[0].outcomes)
-    metrics = {name: _pass_metrics(name, samples, gold, pass1_mode, thresholds)
-               for name in SCORED_FIELDS}
+    metrics = _field_metrics(SCORED_FIELDS, samples, gold, pass1_mode,
+                             thresholds, scores)
     return EvalReport(
         articles=len(samples),
         samples_per_article=k,

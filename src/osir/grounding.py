@@ -26,6 +26,12 @@ piece's own offset. str.find on the pieces marks those starts, and a match
 found among them is the full scan's (score, span). Where the rule cannot
 apply (k + 1 > L, or an article shorter than the smallest window), every
 start is scanned.
+
+Each distinct (prepared string, threshold, exact_score) is grounded once per
+Article object: the results are kept in Article.grounding_memo, so the k
+samples of an article, which often repeat a string and the same copying
+mistake, share one search. The memo lives and dies with the Article; nothing
+is cached across loads of a corpus.
 """
 
 from __future__ import annotations
@@ -277,17 +283,25 @@ def _ground(
     exact_score: bool,
 ) -> dict[str, list[tuple[str, float, MatchResult]]]:
     """Per evidence field of *record*: (string, threshold, result) for each
-    of its strings, grounded in *article* with the field kind's threshold."""
+    of its strings, grounded in *article* with the field kind's threshold.
+    Results are memoized on *article* (Article.grounding_memo)."""
     art_norm = article.normalized_body
+    memo = article.grounding_memo
     grounded = {}
     for name, values in record.lists().items():
         kind = field_kind(name)
         threshold = thresholds.for_kind(kind)
-        grounded[name] = [
-            (value, threshold, _fuzzy_contains_normalized(
-                art_norm, _prepare_candidate(kind, value), threshold,
-                exact_score))
-            for value in values]
+        results = grounded[name] = []
+        for value in values:
+            # An unmatched reward result carries only a lower bound on the
+            # score, so exact_score is part of the key: filter_gold is never
+            # served one.
+            key = (_prepare_candidate(kind, value), threshold, exact_score)
+            result = memo.get(key)
+            if result is None:
+                result = memo[key] = _fuzzy_contains_normalized(
+                    art_norm, *key)
+            results.append((value, threshold, result))
     return grounded
 
 

@@ -6,17 +6,15 @@ matching layers built on top of it stay reproducible across runs.
 
 from __future__ import annotations
 
-import re
-
-_WS_RUN = re.compile(r"\s+")
-
 
 def normalize_text(s: str) -> str:
     """Casefold and collapse all whitespace runs to single spaces.
 
-    Idempotent: normalize_text(normalize_text(s)) == normalize_text(s).
+    Whitespace is ``str.isspace()``, the set that ``str.split()`` splits on
+    and ``re``'s ``\\s`` matches in str patterns. Idempotent:
+    normalize_text(normalize_text(s)) == normalize_text(s).
     """
-    return _WS_RUN.sub(" ", s).strip().casefold()
+    return " ".join(s.split()).casefold()
 
 
 def char_masks(pattern: str) -> dict[str, int]:

@@ -3,10 +3,8 @@
 import csv
 import json
 import os
-import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,19 +14,15 @@ from osir.cli import main
 
 from conftest import (
     build_replay_bundle,
-    completion_text,
+    build_unparseable_bundle,
     corpus_row,
     gold_row,
     make_article,
     make_record,
+    perturb_lists,
     write_jsonl,
 )
-from osir.extraction import (
-    GoldAnnotation,
-    RawCompletion,
-    SCORED_FIELDS,
-    parse_extraction,
-)
+from osir.extraction import GoldAnnotation, SCORED_FIELDS
 
 
 @pytest.fixture
@@ -345,50 +339,6 @@ class TestRun:
         assert "embellishment_mode must be one of" in result.output
 
 
-def build_unparseable_bundle(directory, seed, n_articles=120, samples=3):
-    """A replay bundle where 60% of the samples are unparseable: 12 in 120
-    articles have no parseable sample (unresolved verdicts), 72 have one
-    and 36 have two. Parseable samples vote on the booleans at random."""
-    rng = random.Random(seed)
-    directory.mkdir(parents=True, exist_ok=True)
-    unparseable = [3] * 12 + [2] * 72 + [1] * 36
-    rng.shuffle(unparseable)
-    corpus, gold, fixture = [], [], []
-    for i, bad in enumerate(unparseable[:n_articles]):
-        aid = f"syn-{seed}-{i:03d}"
-        accession, doi = f"PRJ{rng.randrange(10**6):06d}", f"10.1/x.{i}"
-        body = (f"# Study {i}\n\nReads are under {accession}; tables at "
-                f"{doi}. Earlier work by Author{i} et al. was reused.")
-        corpus.append(corpus_row(make_article(
-            aid, body, discipline=rng.choice(["Health Sciences",
-                                              "Life Sciences"]),
-            region=rng.choice(["Europe", "Asia"]))))
-        record = make_record(
-            new_data_generated=rng.random() < 0.5,
-            reuse_data=rng.random() < 0.5,
-            new_data_accessions=(accession,), new_data_dois=(doi,),
-            reuse_data_citations=(f"Author{i} et al.",),
-            new_data_description=rng.choice([None, "new reads"]))
-        gold.append(gold_row(GoldAnnotation(aid, record)))
-        bad_indices = set(rng.sample(range(samples), bad))
-        for s in range(samples):
-            if s in bad_indices:
-                text = rng.choice([
-                    f"No payload for study {i}.",
-                    '{"new_data_generated": "yes", "reuse_data": false}',
-                    '```json\n{"new_data_generated": true,\n```'])
-            else:
-                voted = replace(record,
-                                new_data_generated=rng.random() < 0.5,
-                                reuse_data=rng.random() < 0.5)
-                text = completion_text(voted, fenced=rng.random() < 0.5)
-            fixture.append({"article_id": aid, "sample_index": s,
-                            "text": text})
-    return {"corpus": write_jsonl(directory / "corpus.jsonl", corpus),
-            "gold": write_jsonl(directory / "gold.jsonl", gold),
-            "fixture": write_jsonl(directory / "fixture.jsonl", fixture)}
-
-
 class TestStageChain:
     """extract --records -> score -> aggregate writes the same bytes as run."""
 
@@ -426,27 +376,6 @@ class TestStageChain:
             verdicts = [json.loads(line) for line in
                         (ran / "verdicts.jsonl").read_text().splitlines()]
             assert sum(v["unresolved"] for v in verdicts) == 12
-
-
-def perturb_lists(fixture, seed):
-    """Rewrite about half of the parseable samples in *fixture* so that their
-    evidence lists only partly agree with gold: one extra accession (F1 2/3),
-    and a DOI and a citation a few characters off gold, which match only
-    below their field kind's threshold (F1 0)."""
-    rng = random.Random(seed)
-    rows = [json.loads(line) for line in fixture.read_text().splitlines()]
-    for row in rows:
-        outcome = parse_extraction(RawCompletion(
-            row["article_id"], row["sample_index"], row["text"]))
-        if outcome.parsed and rng.random() < 0.5:
-            record = outcome.record
-            row["text"] = completion_text(replace(
-                record,
-                new_data_accessions=record.new_data_accessions + ("GSE1",),
-                new_data_dois=(record.new_data_dois[0] + "9",),
-                reuse_data_citations=(record.reuse_data_citations[0]
-                                      + " (2020)",)))
-    write_jsonl(fixture, rows)
 
 
 class TestScoreAndEvalAgree:

@@ -1,22 +1,41 @@
 """Pass@1 / pass@k evaluation, report assembly, and disagreement flagging."""
 
+import hashlib
 import random
 
 import pytest
+from click.testing import CliRunner
 
+from osir import scoring
+from osir.cli import main
 from osir.evaluation import (
     EvaluationError,
+    FlaggedArticle,
     SampleSet,
     build_eval_report,
     build_sample_sets,
     evaluate_boolean_field,
     evaluate_list_field,
     flag_disagreements,
+    majority_vote,
     render_report_table,
 )
-from osir.extraction import GoldAnnotation, ParseOutcome
+from osir.extraction import (
+    BOOLEAN_FIELDS,
+    GoldAnnotation,
+    LIST_FIELDS,
+    ParseOutcome,
+    load_completions,
+    load_gold,
+)
+from osir.grounding import DEFAULT_THRESHOLDS
 
-from conftest import make_completion, make_record
+from conftest import (
+    build_unparseable_bundle,
+    make_completion,
+    make_record,
+    perturb_lists,
+)
 
 
 def sample_set(article_id: str, records_or_none: list) -> SampleSet:
@@ -289,3 +308,69 @@ class TestBuildEvalReport:
             "reuse_data", [sample_set("A1", records[::-1])], gold)
         assert forward.pass_at_k == backward.pass_at_k
         assert forward.pass_at_1 == backward.pass_at_1
+
+
+def _flags_by_best_parsed_f1(samples, gold, f1_floor=0.5):
+    """flag_disagreements' rule, with each list field's best F1 taken over
+    the parsed samples by field_score, as a reference."""
+    by_id = {g.article_id: g.record for g in gold}
+    flagged = []
+    for s in samples:
+        want = by_id[s.article_id]
+        parsed = [o.record for o in s.outcomes if o.parsed]
+        reasons = [f"{name} majority disagreement" for name in BOOLEAN_FIELDS
+                   if majority_vote(parsed, name) != getattr(want, name)]
+        for name in LIST_FIELDS:
+            best = max((scoring.field_score(name, r, want, DEFAULT_THRESHOLDS)
+                        for r in parsed), default=0.0)
+            if best < f1_floor:
+                reasons.append(
+                    f"{name} best F1 {best:.2f} below floor {f1_floor:.2f}")
+        if reasons:
+            flagged.append(FlaggedArticle(s.article_id, tuple(reasons)))
+    return flagged
+
+
+class TestEvalScoresEachSampleOnce:
+    """osir eval scores every (parsed sample, list field) pair once, and the
+    report and the review flags share those scores."""
+
+    #: sha256 of report.json for the bundle below, as written when the
+    #: report and the flags each scored every sample.
+    REPORT_SHA256 = (
+        "79995cb015bba8e15d911d1a81b88acaab51a615de5b43656d41e78a889245b1")
+
+    def test_one_match_per_parsed_sample_and_list_field(self, tmp_path,
+                                                        monkeypatch):
+        paths = build_unparseable_bundle(tmp_path / "in", seed=1)
+        perturb_lists(paths["fixture"], seed=1)
+        samples = build_sample_sets(load_completions(paths["fixture"]))
+        gold = load_gold(paths["gold"])
+        parsed = sum(o.parsed for s in samples for o in s.outcomes)
+        assert parsed == 144
+
+        calls = []
+        match_sets = scoring.match_sets
+
+        def counted(*args):
+            calls.append(args)
+            return match_sets(*args)
+
+        monkeypatch.setattr(scoring, "match_sets", counted)
+        report_path = tmp_path / "report.json"
+        result = CliRunner().invoke(main, [
+            "eval", "--completions", str(paths["fixture"]),
+            "--gold", str(paths["gold"]), "--out", str(report_path)])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == parsed * len(LIST_FIELDS) == 1152
+        monkeypatch.undo()
+
+        assert hashlib.sha256(report_path.read_bytes()).hexdigest() == \
+            self.REPORT_SHA256
+        expected = _flags_by_best_parsed_f1(samples, gold)
+        assert any("best F1" in r for f in expected for r in f.reasons)
+        assert flag_disagreements(samples, gold) == expected
+        lines = [f"  {f.article_id}: {'; '.join(f.reasons)}"
+                 for f in expected]
+        assert f"\n{len(expected)} articles flagged for review\n" + \
+            "\n".join(lines) + "\n" in result.output

@@ -1,12 +1,19 @@
 """Fuzzy grounding: normalization, window matching, embellishment, gold filtering."""
 
 import random
+import re
 import string
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from osir.extraction import GoldAnnotation
+from osir import grounding
+from osir.corpus import load_corpus
+from osir.extraction import GoldAnnotation, LIST_FIELDS
 from osir.grounding import (
+    EMBELLISHMENT_MODES,
     Thresholds,
     _best_window,
     embellishment_reward,
@@ -16,10 +23,13 @@ from osir.grounding import (
 )
 from osir.text import prefix_distances, similarity
 
-from conftest import make_article, make_record
+from conftest import corpus_row, make_article, make_record, write_jsonl
 from oracles import oracle_normalize, oracle_windowed_score
 
 DECISION_THRESHOLDS = (0.5, 0.7, 0.9, 0.95, 1.0)
+
+#: Every character str.isspace() accepts (29 in current Unicode).
+WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
 
 
 def _perturb(rng: random.Random, s: str, alphabet: str, edits: int) -> str:
@@ -103,6 +113,19 @@ class TestNormalizeText:
     def test_doi_example(self):
         assert normalize_text("DOI: 10.1371/JOURNAL.PONE.0230416") == \
             "doi: 10.1371/journal.pone.0230416"
+
+    @pytest.mark.parametrize("ws", WHITESPACE,
+                             ids=lambda c: f"U+{ord(c):04X}")
+    def test_each_whitespace_character_separates(self, ws):
+        assert normalize_text(f"A{ws}b") == "a b"
+        assert normalize_text(f"{ws}A{ws}{ws}b{ws}") == "a b"
+
+    @given(st.lists(st.sampled_from(
+        WHITESPACE + ["\r\n", "\u200b", "\ufeff", "ß", "İ"]
+        + list(string.ascii_letters))).map("".join))
+    def test_equals_regex_collapse_and_oracle(self, s):
+        assert normalize_text(s) == \
+            re.sub(r"\s+", " ", s).strip().casefold() == oracle_normalize(s)
 
 
 class TestFuzzyContains:
@@ -380,3 +403,87 @@ class TestFilterGold:
         strict_kept, _ = filter_gold(corpus, gold,
                                      Thresholds(identifier=0.99, citation=0.99))
         assert len(strict_kept) <= len(loose_kept)
+
+
+MEMO_BODY = (
+    "Methods. Reads were deposited under GSE123456 and the tables at "
+    "10.5061/dryad.abc123. We reused data from Smith J, Lee K (2019) Global "
+    "survey of soil microbes. Nature 12:34-56, retrieved from "
+    "https://example.org/data/soil.")
+#: A near copy of the body's citation: grounded, but not verbatim.
+NEAR_MISS = "Smith J, Lee K (2019) Global survey of soil microbs. Nature 12:34-56"
+MEMO_STRINGS = (
+    "GSE123456", "GSE123465", "GSE999999", "10.5061/dryad.abc123",
+    "10.5061/dryad.abc12", NEAR_MISS, "Nobody et al. (1999) Unrelated work",
+    "https://example.org/data/soil", "https://example.org/data/soil/",
+    "https://example.org/data/soil.", "https://example.org/data/soil),")
+
+
+@pytest.fixture
+def window_scans(monkeypatch):
+    """The candidates passed to _best_window, one entry per call."""
+    calls = []
+
+    def counted(art, cand, starts=None):
+        calls.append(cand)
+        return _best_window(art, cand, starts)
+
+    monkeypatch.setattr(grounding, "_best_window", counted)
+    return calls
+
+
+class TestGroundingMemo:
+    def test_recurring_string_scanned_once(self, window_scans):
+        article = make_article("A1", MEMO_BODY)
+        records = [make_record(reuse_data_citations=(NEAR_MISS,),
+                               new_data_accessions=(accession,))
+                   for accession in ("GSE123456", "GSE123465", "GSE999999")]
+        reports = [embellishment_reward(article, r) for r in records]
+        assert window_scans.count(normalize_text(NEAR_MISS)) == 1
+        # the verbatim accession needs no scan, the other two one each
+        assert len(window_scans) == 3
+        (near,) = reports[0].matches["reuse_data_citations"]
+        assert near.matched and near.score < 1.0
+        assert all(r.matches["reuse_data_citations"] == (near,)
+                   for r in reports)
+
+    @given(st.lists(st.dictionaries(
+        st.sampled_from(LIST_FIELDS),
+        st.lists(st.sampled_from(MEMO_STRINGS), max_size=3), max_size=4),
+        min_size=1, max_size=4), st.sampled_from(EMBELLISHMENT_MODES))
+    @example([{name: ["https://example.org/data/soil.", NEAR_MISS]
+               for name in LIST_FIELDS}] * 2, "fraction")
+    @settings(deadline=None)
+    def test_shared_article_equals_fresh_article(self, lists, mode):
+        shared = make_article("A1", MEMO_BODY)
+        for fields in lists:
+            record = make_record(**{name: tuple(values)
+                                    for name, values in fields.items()})
+            assert embellishment_reward(shared, record, mode=mode) == \
+                embellishment_reward(make_article("A1", MEMO_BODY), record,
+                                     mode=mode)
+
+    def test_filter_gold_is_never_served_a_lower_bound(self):
+        article = make_article("A1", MEMO_BODY)
+        record = make_record(new_data_accessions=("GSE999999",))
+        (bound,) = embellishment_reward(article, record).matches[
+            "new_data_accessions"]
+        exact = oracle_windowed_score(MEMO_BODY, "GSE999999")
+        assert not bound.matched and bound.score < exact
+        _, removed = filter_gold([article], [GoldAnnotation("A1", record)])
+        (diagnostic,) = removed[0].diagnostics
+        assert diagnostic.best_score == pytest.approx(exact, abs=1e-9)
+        # and the reward after filter_gold still gets its own result
+        assert embellishment_reward(article, record).matches[
+            "new_data_accessions"] == (bound,)
+
+    def test_loads_share_no_memo(self, tmp_path, window_scans):
+        path = write_jsonl(tmp_path / "corpus.jsonl",
+                           [corpus_row(make_article("A1", MEMO_BODY))])
+        record = make_record(reuse_data_citations=(NEAR_MISS,))
+        for load in (1, 2):
+            (article,) = load_corpus(path)
+            assert article.grounding_memo == {}
+            embellishment_reward(article, record)
+            embellishment_reward(article, record)
+            assert len(window_scans) == load
