@@ -19,7 +19,6 @@ import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -171,10 +170,11 @@ def complete_all(backend: ReplayBackend | HttpBackend,
                  config: PipelineConfig) -> list[list[RawCompletion]]:
     """backend.complete(prompt, n) of every prompt, in prompt order.
 
-    At most max_in_flight attempts run at a time, on as many threads. A
-    RetryableError sends its prompt to wait out a delay, the server's
-    Retry-After if it gave one, else backoff_base * 2**(attempt - 1), and
-    the freed slot takes the next prompt; once the delay is over the prompt
+    min(max_in_flight, len(prompts)) threads each pull the next attempt,
+    run it, and pull again, so at most max_in_flight attempts run at a time.
+    A RetryableError sends its prompt to wait out a delay, the server's
+    Retry-After if it gave one, else backoff_base * 2**(attempt - 1), while
+    its thread pulls the next prompt; once the delay is over the prompt
     queues behind those not yet sent. The max_attempts-th failure, or any
     other error, is fatal: no attempt starts after it, the ones already
     running finish, and the error is raised.
@@ -182,38 +182,82 @@ def complete_all(backend: ReplayBackend | HttpBackend,
     results: list[list[RawCompletion]] = [[] for _ in prompts]
     ready = deque((index, 1) for index in range(len(prompts)))
     waiting: list[tuple[float, int, int]] = []  # (due, index, attempt)
-    running: dict[Future, tuple[int, int]] = {}
-    with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-        while ready or waiting or running:
-            while waiting and waiting[0][0] <= time.monotonic():
+    changed = threading.Condition()
+    running = 0
+    fatal: BaseException | None = None
+
+    def pull() -> tuple[int, int] | None:
+        """The next attempt to run, or None once there is none to wait
+        for; called holding *changed*."""
+        nonlocal running
+        while fatal is None:
+            now = time.monotonic()
+            while waiting and waiting[0][0] <= now:
                 _, index, attempt = heapq.heappop(waiting)
                 ready.append((index, attempt))
-            while ready and len(running) < config.max_in_flight:
-                index, attempt = ready.popleft()
-                future = pool.submit(backend.complete, prompts[index], n)
-                running[future] = (index, attempt)
-            timeout = (max(0.0, waiting[0][0] - time.monotonic())
-                       if waiting else None)
-            if not running:  # wait() returns at once when given no futures
-                time.sleep(timeout)
-                continue
-            done, _ = wait(running, timeout=timeout,
-                           return_when=FIRST_COMPLETED)
-            for future in done:
-                index, attempt = running.pop(future)
-                try:
-                    results[index] = future.result()
-                except RetryableError as exc:
-                    article_id = prompts[index].article_id
-                    if attempt == config.max_attempts:
-                        raise BackendError(
-                            f"backend unreachable for {article_id!r} after "
-                            f"{attempt} attempts: {exc}") from exc
-                    delay = (config.backoff_base * 2 ** (attempt - 1)
-                             if exc.retry_after is None else exc.retry_after)
-                    log.warning("retrying %s after %s (attempt %d/%d, "
-                                "waiting %.2fs)", article_id, exc, attempt,
-                                config.max_attempts, delay)
-                    heapq.heappush(waiting, (time.monotonic() + delay, index,
-                                             attempt + 1))
+            if ready:
+                running += 1
+                return ready.popleft()
+            if not (waiting or running):
+                return None
+            changed.wait(waiting[0][0] - now if waiting else None)
+        return None
+
+    def settle(index: int, attempt: int, exc: BaseException) -> None:
+        """Back off a retryable failure, or record the first fatal one;
+        called holding *changed*."""
+        nonlocal fatal
+        if isinstance(exc, RetryableError) and attempt < config.max_attempts:
+            delay = (config.backoff_base * 2 ** (attempt - 1)
+                     if exc.retry_after is None else exc.retry_after)
+            log.warning("retrying %s after %s (attempt %d/%d, waiting %.2fs)",
+                        prompts[index].article_id, exc, attempt,
+                        config.max_attempts, delay)
+            heapq.heappush(waiting, (time.monotonic() + delay, index,
+                                     attempt + 1))
+        elif fatal is None:
+            if isinstance(exc, RetryableError):
+                error = BackendError(
+                    f"backend unreachable for {prompts[index].article_id!r} "
+                    f"after {attempt} attempts: {exc}")
+                error.__cause__ = exc
+                exc = error
+            fatal = exc
+
+    def work() -> None:
+        nonlocal running
+        with changed:
+            job = pull()
+        while job is not None:
+            index, attempt = job
+            try:
+                batch, failure = backend.complete(prompts[index], n), None
+            except BaseException as exc:  # re-raised by the calling thread
+                batch, failure = None, exc
+            with changed:
+                running -= 1
+                if failure is None:
+                    results[index] = batch
+                else:
+                    settle(index, attempt, failure)
+                changed.notify_all()
+                job = pull()
+
+    threads = [threading.Thread(target=work, daemon=True)
+               for _ in range(min(config.max_in_flight, len(prompts)))]
+    for thread in threads:
+        thread.start()
+    try:
+        for thread in threads:
+            thread.join()
+    except BaseException as exc:  # an interrupt also stops new attempts
+        with changed:
+            if fatal is None:
+                fatal = exc
+            changed.notify_all()
+        for thread in threads:
+            thread.join()
+        raise
+    if fatal is not None:
+        raise fatal
     return results

@@ -116,9 +116,32 @@ class PreparedPrompt:
     truncated: bool
 
 
+#: The code points that str.isspace() accepts, as literals, so that importing
+#: scans none: the ASCII ones, and the others.
+_ASCII_SPACES = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+_OTHER_SPACES = ("\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006"
+                 "\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+#: Byte -> b" " for an ASCII space, b"x" for any other byte.
+_TOKEN_BYTES = b"".join(b" " if chr(i) in _ASCII_SPACES else b"x"
+                        for i in range(256))
+
+
 def count_tokens(text: str) -> int:
-    """The number of maximal non-whitespace runs in *text*."""
-    return len(text.split())
+    """The number of maximal non-whitespace runs in *text*.
+
+    Without a non-ASCII space, every byte of the UTF-8 encoding (lone
+    surrogates passed through) at or above 0x80 belongs to a token, so the
+    runs are counted on the bytes mapped to b" " and b"x", with no list of
+    tokens built. A text with a non-ASCII space is split.
+    """
+    if text.isascii():
+        data = text.encode("ascii")
+    elif any(space in text for space in _OTHER_SPACES):
+        return len(text.split())
+    else:
+        data = text.encode("utf-8", "surrogatepass")
+    marks = data.translate(_TOKEN_BYTES)
+    return marks.count(b" x") + marks.startswith(b"x")
 
 
 def _article_from_payload(payload: dict, line_no: int) -> Article:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 from typing import Iterable
 
-from .jsonl import field_dict, iter_jsonl, write_jsonl
+from .jsonl import field_dict, field_names, iter_jsonl, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,10 @@ class GoldAnnotation:
     record: ExtractionRecord
 
 
+#: The one decoder behind every completion's parse.
+_DECODER = json.JSONDecoder()
+
+
 def _first_json_object(text: str) -> dict | None:
     """The first parseable JSON object embedded in *text*, if any.
 
@@ -98,11 +102,10 @@ def _first_json_object(text: str) -> dict | None:
     each '{' and takes the first position where a JSON value decodes. A value
     nested too deeply to decode counts as one that does not decode.
     """
-    decoder = json.JSONDecoder()
     pos = text.find("{")
     while pos != -1:
         try:
-            value, _ = decoder.raw_decode(text, pos)
+            value, _ = _DECODER.raw_decode(text, pos)
         except (json.JSONDecodeError, RecursionError):
             pos = text.find("{", pos + 1)
             continue
@@ -164,9 +167,9 @@ def format_reward(outcome: ParseOutcome) -> int:
 def record_to_payload(record: ExtractionRecord) -> dict:
     """Record as a plain dict with the wire field names."""
     payload: dict = {}
-    for f in dc_fields(record):
-        value = getattr(record, f.name)
-        payload[f.name] = list(value) if isinstance(value, tuple) else value
+    for name in field_names(type(record)):
+        value = getattr(record, name)
+        payload[name] = list(value) if isinstance(value, tuple) else value
     return payload
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields
+from functools import cache
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -43,16 +44,26 @@ def iter_jsonl(path: str | Path, error_cls: type[Exception],
             yield line_no, payload
 
 
+#: The encoder of every JSON Lines row; json.dumps would build one per row.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
+
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False))
+            fh.write(_ROW_ENCODER.encode(row))
             fh.write("\n")
+
+
+@cache
+def field_names(cls: type) -> tuple[str, ...]:
+    """The field names of a dataclass, in definition order."""
+    return tuple(f.name for f in fields(cls))
 
 
 def field_dict(obj) -> dict:
     """A dataclass instance's fields as a dict, without asdict's deep copy."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return {name: getattr(obj, name) for name in field_names(type(obj))}
 
 
 def write_json(path: str | Path, payload: dict) -> None:

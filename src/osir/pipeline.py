@@ -138,6 +138,19 @@ def prompt_stage(articles: list[Article],
     return prompts
 
 
+def save_prompts(prompts: list[PreparedPrompt], path: str | Path) -> None:
+    """One row per prompt (prompts.jsonl), without its text: the text is
+    build_prompt's of the corpus article under the manifest's template
+    version and token_budget, and prompt_sha256 is the sha256 of its UTF-8
+    bytes."""
+    write_jsonl(path, ({"article_id": p.article_id,
+                        "prompt_sha256": hashlib.sha256(
+                            p.text.encode("utf-8")).hexdigest(),
+                        "token_count": p.token_count,
+                        "truncated": p.truncated}
+                       for p in prompts))
+
+
 def complete_stage(prompts: list[PreparedPrompt],
                    config: PipelineConfig) -> list[RawCompletion]:
     """samples_per_article completions of every prompt, with at most
@@ -238,7 +251,7 @@ def run_pipeline(
     articles_by_id = {a.id: a for a in articles}
 
     prompts = prompt_stage(articles, config)
-    write_jsonl(out / "prompts.jsonl", map(field_dict, prompts))
+    save_prompts(prompts, out / "prompts.jsonl")
     emit("prompt", out / "prompts.jsonl")
 
     completions = complete_stage(prompts, config)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osir import corpus
 from osir.corpus import (
     Article,
     CorpusError,
@@ -35,6 +36,31 @@ _word = st.sampled_from(["a", "bc", "\u200b", "\ufeff", "\u00e9",
 _texts = st.builds(
     lambda lead, pairs: lead + "".join(w + ws for w, ws in pairs),
     _ws, st.lists(st.tuples(_word, _ws), max_size=50))
+
+# The str.isspace() code points outside ASCII, which send count_tokens to
+# str.split; a text without them is counted on its bytes.
+NON_ASCII_SPACES = ["\x85", "\xa0", "\u1680", "\u2000", "\u2001", "\u2002",
+                    "\u2003", "\u2004", "\u2005", "\u2006", "\u2007", "\u2008",
+                    "\u2009", "\u200a", "\u2028", "\u2029", "\u202f", "\u205f",
+                    "\u3000"]
+_byte_path_chars = st.one_of(
+    st.integers(0, 0x7f).map(chr),                # ASCII, its spaces included
+    st.sampled_from(["\x1c", "\x1d", "\x1e", "\x1f"]),
+    st.sampled_from(["\u00e9", "\u4e2d"]),        # non-ASCII, not spaces
+    st.integers(0xd800, 0xdfff).map(chr),         # lone surrogates
+)
+
+
+def _insert(text: str, spaces: list[tuple[int, str]]) -> str:
+    for at, space in sorted(spaces, reverse=True):
+        text = text[:at] + space + text[at:]
+    return text
+
+
+_mixed_texts = st.builds(
+    _insert, st.lists(_byte_path_chars, max_size=60).map("".join),
+    st.lists(st.tuples(st.integers(0, 60), st.sampled_from(NON_ASCII_SPACES)),
+             max_size=2))
 
 
 class TestLoadCorpus:
@@ -158,6 +184,12 @@ class TestCountTokens:
                 bool(re.fullmatch(r"\s", c)), hex(cp)
 
 
+    def test_space_literals_are_exactly_isspace(self):
+        assert sorted(corpus._ASCII_SPACES + corpus._OTHER_SPACES) == \
+            [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+        assert list(corpus._OTHER_SPACES) == NON_ASCII_SPACES
+
+
 class TestTruncateMiddle:
     def test_under_budget_unchanged(self):
         text = " ".join(f"t{i}" for i in range(10))
@@ -241,6 +273,24 @@ class TestTokenizerOracle:
             oracle_truncate_middle(text, budget, TRUNCATION_MARKER)
         if not text:
             return
+        prompt_budget = oracle_count_tokens(PROMPT_PREAMBLE) + budget
+        prompt = build_prompt(make_article("A1", text), prompt_budget)
+        body, truncated = oracle_truncate_middle(text, budget,
+                                                 TRUNCATION_MARKER)
+        want = f"{PROMPT_PREAMBLE}\n{body}"
+        assert (prompt.text, prompt.token_count, prompt.truncated) == \
+            (want, oracle_count_tokens(want), truncated)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=_mixed_texts, data=st.data())
+    def test_byte_count_agrees_with_oracle(self, text, data):
+        # Texts with and without a non-ASCII space, so that both the byte
+        # count and its str.split fallback are checked.
+        assert count_tokens(text) == oracle_count_tokens(text)
+        if not text:
+            return
+        budget = data.draw(st.integers(
+            min_value=3, max_value=max(3, oracle_count_tokens(text) + 1)))
         prompt_budget = oracle_count_tokens(PROMPT_PREAMBLE) + budget
         prompt = build_prompt(make_article("A1", text), prompt_budget)
         body, truncated = oracle_truncate_middle(text, budget,

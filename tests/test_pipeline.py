@@ -1,5 +1,6 @@
 """End-to-end pipeline orchestration and manifest reproducibility."""
 
+import hashlib
 import json
 import threading
 import time
@@ -14,6 +15,12 @@ import osir.scoring
 from osir.backend import RetryableError
 from osir.cli import main
 from osir.config import PipelineConfig, load_config
+from osir.corpus import (
+    PREAMBLE_TOKENS,
+    PROMPT_TEMPLATE_VERSION,
+    build_prompt,
+    load_corpus,
+)
 from osir.extraction import RawCompletion, parse_extraction
 from osir.pipeline import PipelineError, config_digest, file_digest, run_pipeline
 
@@ -123,6 +130,39 @@ class TestRunPipeline:
         assert payload["prompt_template_version"]
         assert all(o["sha256"] for s in payload["stages"]
                    for o in s["outputs"])
+
+    @pytest.mark.parametrize("budget", [None, PREAMBLE_TOKENS + 10])
+    def test_prompt_rows_rebuild_from_the_corpus(self, tmp_path, budget):
+        # budget None keeps every body whole; the other cuts every body
+        paths = build_replay_bundle(tmp_path, n_articles=4)
+        overrides = {} if budget is None else {"token_budget": budget}
+        config = replay_config(paths["fixture"], **overrides)
+        out = tmp_path / "out"
+        run_pipeline(paths["corpus"], out, config)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["prompt_template_version"] == PROMPT_TEMPLATE_VERSION
+        rows = [json.loads(line) for line in
+                (out / "prompts.jsonl").read_text("utf-8").splitlines()]
+        articles = load_corpus(paths["corpus"])
+        assert [row["article_id"] for row in rows] == \
+            [article.id for article in articles]
+        for row, article in zip(rows, articles):
+            assert set(row) == {"article_id", "prompt_sha256", "token_count",
+                                "truncated"}
+            prompt = build_prompt(article, config.token_budget)
+            assert row["prompt_sha256"] == \
+                hashlib.sha256(prompt.text.encode("utf-8")).hexdigest()
+            assert row["token_count"] == prompt.token_count
+            assert row["truncated"] is prompt.truncated is (budget is not None)
+
+    def test_prompt_rows_survive_an_aborted_complete(self, tmp_path):
+        paths = build_replay_bundle(tmp_path, n_articles=2, samples=2)
+        config = replay_config(paths["fixture"], samples_per_article=3)
+        with pytest.raises(PipelineError):
+            run_pipeline(paths["corpus"], tmp_path / "out", config)
+        rows = (tmp_path / "out" / "prompts.jsonl").read_text().splitlines()
+        assert len(rows) == 2
+        assert not (tmp_path / "out" / "completions.jsonl").exists()
 
     def test_max_in_flight_bounds_concurrency(self, tmp_path, monkeypatch):
         paths = build_replay_bundle(tmp_path, n_articles=12)
