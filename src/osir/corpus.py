@@ -116,8 +116,8 @@ class PreparedPrompt:
     truncated: bool
 
 
-#: The code points that str.isspace() accepts, as literals, so that importing
-#: scans none: the ASCII ones, and the others.
+#: The code points that str.isspace() accepts, ASCII and not, written out so
+#: that importing scans no code points.
 _ASCII_SPACES = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
 _OTHER_SPACES = ("\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006"
                  "\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
