@@ -16,10 +16,10 @@ import heapq
 import logging
 import math
 import os
-import threading
 import time
 from collections import deque
 from pathlib import Path
+from threading import Condition, Thread, local
 from typing import TYPE_CHECKING
 
 import requests
@@ -83,7 +83,7 @@ class HttpBackend:
 
     def __init__(self, config: PipelineConfig):
         self._config = config
-        self._local = threading.local()
+        self._local = local()
 
     def _session(self) -> requests.Session:
         session = getattr(self._local, "session", None)
@@ -182,7 +182,7 @@ def complete_all(backend: ReplayBackend | HttpBackend,
     results: list[list[RawCompletion]] = [[] for _ in prompts]
     ready = deque((index, 1) for index in range(len(prompts)))
     waiting: list[tuple[float, int, int]] = []  # (due, index, attempt)
-    changed = threading.Condition()
+    changed = Condition()
     running = 0
     fatal: BaseException | None = None
 
@@ -243,7 +243,7 @@ def complete_all(backend: ReplayBackend | HttpBackend,
                 changed.notify_all()
                 job = pull()
 
-    threads = [threading.Thread(target=work, daemon=True)
+    threads = [Thread(target=work, daemon=True)
                for _ in range(min(config.max_in_flight, len(prompts)))]
     for thread in threads:
         thread.start()

@@ -116,11 +116,9 @@ class PreparedPrompt:
     truncated: bool
 
 
-#: The code points that str.isspace() accepts, ASCII and not, written out so
-#: that importing scans no code points.
+#: The ASCII code points that str.isspace() accepts, written out so that
+#: importing scans no code points.
 _ASCII_SPACES = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
-_OTHER_SPACES = ("\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006"
-                 "\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
 #: Byte -> b" " for an ASCII space, b"x" for any other byte.
 _TOKEN_BYTES = b"".join(b" " if chr(i) in _ASCII_SPACES else b"x"
                         for i in range(256))
@@ -129,18 +127,12 @@ _TOKEN_BYTES = b"".join(b" " if chr(i) in _ASCII_SPACES else b"x"
 def count_tokens(text: str) -> int:
     """The number of maximal non-whitespace runs in *text*.
 
-    Without a non-ASCII space, every byte of the UTF-8 encoding (lone
-    surrogates passed through) at or above 0x80 belongs to a token, so the
-    runs are counted on the bytes mapped to b" " and b"x", with no list of
-    tokens built. A text with a non-ASCII space is split.
+    An ASCII text's runs are counted on its bytes mapped to b" " and b"x",
+    with no list of tokens built; any other text is split.
     """
-    if text.isascii():
-        data = text.encode("ascii")
-    elif any(space in text for space in _OTHER_SPACES):
+    if not text.isascii():
         return len(text.split())
-    else:
-        data = text.encode("utf-8", "surrogatepass")
-    marks = data.translate(_TOKEN_BYTES)
+    marks = text.encode("ascii").translate(_TOKEN_BYTES)
     return marks.count(b" x") + marks.startswith(b"x")
 
 

@@ -256,6 +256,20 @@ class TestHttpBackend:
         assert isinstance(http, HttpBackend)
 
 
+@pytest.fixture
+def started(monkeypatch):
+    """Every thread that complete_all starts."""
+    threads = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            threads.append(self)
+            super().start()
+
+    monkeypatch.setattr("osir.backend.Thread", Recorded)
+    return threads
+
+
 class TestScheduler:
     """complete_all against the one-thread server: requests arrive in the
     order the scheduler sends them."""
@@ -306,7 +320,7 @@ class TestScheduler:
         assert _FlakyHandler.seen == ["A", "B", "C", "D", "A"]
         assert [batch[0].article_id for batch in out] == list("ABCD")
 
-    def test_fatal_error_drains_no_queue(self, flaky_server):
+    def test_fatal_error_drains_no_queue(self, flaky_server, started):
         _FlakyHandler.failures_left = 1
         _FlakyHandler.failure_status = 400
         ids = [f"a{i:02d}" for i in range(30)]
@@ -315,16 +329,20 @@ class TestScheduler:
             complete_all(HttpBackend(config), [prompt_for(i) for i in ids], 1,
                          config)
         assert len(_FlakyHandler.seen) <= 2 * config.max_in_flight
+        assert len(started) == config.max_in_flight
+        assert not any(thread.is_alive() for thread in started)
 
-    def test_exhausted_attempts_name_the_article(self, flaky_server):
+    def test_exhausted_attempts_name_the_article(self, flaky_server, started):
         _FlakyHandler.failures_left = 10
         _FlakyHandler.failure_status = 503
         with pytest.raises(BackendError,
                            match=r"unreachable for 'A' after 3 attempts: "
                                  r"HTTP 503"):
             self.run(self.config(flaky_server), "A")
+        assert len(started) == 1
+        assert not any(thread.is_alive() for thread in started)
 
-    def test_stress_every_result_in_prompt_order(self):
+    def test_stress_every_result_in_prompt_order(self, started):
         # more slots than cores and a short switch interval, so that attempts
         # interleave; every third article fails twice before it succeeds
         class Fake:
@@ -361,77 +379,35 @@ class TestScheduler:
                 for batch in out] == [[(i, 0), (i, 1)] for i in ids]
         assert sum(backend.attempts.values()) == 300 + 2 * 100
         assert backend.peak <= config.max_in_flight
+        assert len(started) == config.max_in_flight
+        assert not any(thread.is_alive() for thread in started)
 
 
 class TestWorkerThreads:
-    """complete_all's threads: how many start, how many attempts they run at
-    once, and that none outlives the call."""
-
-    class Counting:
-        """Counts the calls in flight; the first attempt of each article in
-        *retry* raises RetryableError, and each article in *fatal* raises
-        its exception."""
-
-        def __init__(self, retry=(), fatal=None):
-            self.lock = threading.Lock()
-            self.retry = set(retry)
-            self.fatal = fatal or {}
-            self.active = self.peak = self.calls = 0
-
-        def complete(self, prompt, n):
-            with self.lock:
-                self.active += 1
-                self.calls += 1
-                self.peak = max(self.peak, self.active)
-            time.sleep(0.002)
-            with self.lock:
-                self.active -= 1
-                if prompt.article_id in self.retry:
-                    self.retry.remove(prompt.article_id)
-                    raise RetryableError("HTTP 503", retry_after=0.0)
-            if prompt.article_id in self.fatal:
-                raise self.fatal[prompt.article_id]
-            return [RawCompletion(prompt.article_id, i, "t") for i in range(n)]
-
-    @pytest.fixture
-    def started(self, monkeypatch):
-        """Every thread that complete_all starts."""
-        threads = []
-
-        class Recorded(threading.Thread):
-            def start(self):
-                threads.append(self)
-                super().start()
-
-        monkeypatch.setattr("osir.backend.threading.Thread", Recorded)
-        return threads
-
-    @pytest.mark.parametrize("limit,count", [(1, 12), (3, 12), (8, 5)])
-    def test_in_flight_bound_and_threads(self, started, limit, count):
-        ids = [str(i) for i in range(count)]
-        backend = self.Counting(retry=ids[::2])
-        config = PipelineConfig(max_in_flight=limit, max_attempts=2)
-        out = complete_all(backend, [prompt_for(i) for i in ids], 2, config)
-        assert [batch[0].article_id for batch in out] == ids
-        assert backend.calls == count + len(ids[::2])
-        assert 1 <= backend.peak <= limit
-        assert len(started) == min(limit, count)
-        assert not any(thread.is_alive() for thread in started)
+    """complete_all starts no thread for no prompts, and raises the fatal
+    error itself, or exhaustion with the last failure as its cause."""
 
     def test_no_thread_for_no_prompts(self, started):
-        assert complete_all(self.Counting(), [], 3, PipelineConfig()) == []
+        class Unused:
+            def complete(self, prompt, n):
+                raise AssertionError("no prompt to complete")
+
+        assert complete_all(Unused(), [], 3, PipelineConfig()) == []
         assert started == []
 
-    def test_fatal_error_is_raised_as_is_and_no_thread_survives(
-            self, started):
+    def test_fatal_error_is_raised_as_is(self, started):
         boom = ReplayFixtureError("no fixture completion for article '5'")
-        backend = self.Counting(fatal={"5": boom})
-        config = PipelineConfig(max_in_flight=3)
+
+        class Fatal:
+            def complete(self, prompt, n):
+                if prompt.article_id == "5":
+                    raise boom
+                return [RawCompletion(prompt.article_id, 0, "t")]
+
         with pytest.raises(ReplayFixtureError) as err:
-            complete_all(backend, [prompt_for(str(i)) for i in range(40)], 1,
-                         config)
+            complete_all(Fatal(), [prompt_for(str(i)) for i in range(40)], 1,
+                         PipelineConfig(max_in_flight=3))
         assert err.value is boom
-        assert backend.calls <= 6 + config.max_in_flight
         assert len(started) == 3
         assert not any(thread.is_alive() for thread in started)
 
