@@ -13,16 +13,21 @@ their retries for both.
 from __future__ import annotations
 
 import heapq
+import json
 import logging
 import math
 import os
+import select
+import ssl
 import time
+import weakref
 from collections import deque
+from functools import partial
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from pathlib import Path
 from threading import Condition, Thread, local
 from typing import TYPE_CHECKING
-
-import requests
+from urllib.parse import quote, urlsplit
 
 from .corpus import PreparedPrompt
 from .extraction import RawCompletion, read_completions
@@ -76,20 +81,41 @@ class ReplayBackend:
 class HttpBackend:
     """Talks to a prompt-in/text-out completion endpoint, one request per call.
 
-    A transport error, 429 or 5xx raises RetryableError; any other 4xx or a
-    malformed response raises BackendError. Each thread posts through a
-    requests.Session of its own.
+    The endpoint is an http or https URL with a host; https verifies the
+    server against the system trust store. Each thread keeps one keep-alive
+    connection for all its requests, and opens a new one when the server has
+    closed it while it sat idle. The connections close once the backend is
+    collected. Proxy variables in the environment are not read.
+
+    A transport error, 429 or 5xx raises RetryableError; any other status, a
+    3xx included, or a malformed response raises BackendError.
     """
 
     def __init__(self, config: PipelineConfig):
         self._config = config
+        scheme, host, port, self._target = _parse_endpoint(config.endpoint)
+        if scheme == "https":
+            self._open = partial(HTTPSConnection, host, port,
+                                 timeout=config.timeout,
+                                 context=ssl.create_default_context())
+        else:
+            self._open = partial(HTTPConnection, host, port,
+                                 timeout=config.timeout)
         self._local = local()
+        self._connections: list[HTTPConnection] = []
+        weakref.finalize(self, _close_all, self._connections)
 
-    def _session(self) -> requests.Session:
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = self._local.session = requests.Session()
-        return session
+    def _connection(self) -> HTTPConnection:
+        """This thread's connection. An idle socket that reads as ready has
+        been closed by the server, so it is dropped for a new one."""
+        conn = getattr(self._local, "connection", None)
+        if conn is None:
+            conn = self._local.connection = self._open()
+            self._connections.append(conn)
+        elif conn.sock is not None and select.select([conn.sock], [], [],
+                                                     0)[0]:
+            conn.close()
+        return conn
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -100,38 +126,71 @@ class HttpBackend:
 
     def complete(self, prompt: PreparedPrompt, n: int) -> list[RawCompletion]:
         cfg = self._config
-        body = {"prompt": prompt.text, "n": n, "params": cfg.decode_params}
+        body = json.dumps({"prompt": prompt.text, "n": n,
+                           "params": cfg.decode_params},
+                          allow_nan=False).encode("utf-8")
+        conn = self._connection()
         try:
-            response = self._session().post(
-                cfg.endpoint, json=body, headers=self._headers(),
-                timeout=cfg.timeout)
-        except requests.RequestException as exc:
+            conn.request("POST", self._target, body, self._headers())
+            response = conn.getresponse()
+            data = response.read()
+        except (OSError, HTTPException) as exc:
+            conn.close()
             raise RetryableError(f"transport error: {exc}") from exc
-        status = response.status_code
+        status = response.status
         if status == 200:
-            return self._completions_from(response, prompt, n)
+            return self._completions_from(data, prompt, n)
         if status == 429 or 500 <= status < 600:
             raise RetryableError(
                 f"HTTP {status}",
-                _retry_after(response.headers.get("Retry-After")))
+                _retry_after(response.getheader("Retry-After")))
         raise BackendError(f"backend rejected request for "
                            f"{prompt.article_id!r}: HTTP {status}")
 
     @staticmethod
-    def _completions_from(response: requests.Response, prompt: PreparedPrompt,
+    def _completions_from(data: bytes, prompt: PreparedPrompt,
                           n: int) -> list[RawCompletion]:
         try:
-            completions = response.json()["completions"]
-        except (ValueError, KeyError) as exc:
+            payload = json.loads(data)
+        except ValueError as exc:
             raise BackendError(
                 f"malformed backend response for {prompt.article_id!r}: {exc}"
             ) from exc
+        if not isinstance(payload, dict) or "completions" not in payload:
+            raise BackendError(
+                f"malformed backend response for {prompt.article_id!r}: "
+                f"not an object with 'completions'")
+        completions = payload["completions"]
         if not isinstance(completions, list) or len(completions) < n:
             raise BackendError(
                 f"backend returned {len(completions) if isinstance(completions, list) else 'no'} "
                 f"completions for {prompt.article_id!r}, expected {n}")
         return [RawCompletion(prompt.article_id, i, str(completions[i]))
                 for i in range(n)]
+
+
+def _parse_endpoint(endpoint: str) -> tuple[str, str, int | None, str]:
+    """(scheme, host, port, request target) of an http(s) endpoint URL; the
+    target is percent-quoted where the URL is not."""
+    try:
+        parts = urlsplit(endpoint)
+        port = parts.port
+    except ValueError:
+        parts = None
+    if parts is None or parts.scheme not in ("http", "https") \
+            or not parts.hostname:
+        raise ValueError(
+            f"endpoint {endpoint!r} is not an http(s) URL with a host")
+    target = parts.path or "/"
+    if parts.query:
+        target += "?" + parts.query
+    return (parts.scheme, parts.hostname, port,
+            quote(target, safe="!#$%&'()*+,/:;=?@[]~"))
+
+
+def _close_all(connections: list[HTTPConnection]) -> None:
+    for conn in connections:
+        conn.close()
 
 
 def _retry_after(header: str | None) -> float | None:

@@ -147,6 +147,15 @@ def _article_from_payload(payload: dict, line_no: int) -> Article:
         if payload.get(key) is not None and not isinstance(payload[key], str):
             raise CorpusError(
                 f"line {line_no}: {key!r} must be a string if present")
+    for key in ("id", "title", "body_markdown", "region"):
+        value = payload.get(key)
+        if value and not value.isascii():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise CorpusError(
+                    f"line {line_no}: {key!r} holds a lone surrogate at "
+                    f"index {exc.start}") from exc
     discipline = payload.get("discipline") or "Unknown"
     if discipline not in DISCIPLINES:
         discipline = "Unknown"

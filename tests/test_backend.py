@@ -2,13 +2,19 @@
 
 import json
 import logging
+import os
+import re
+import subprocess
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.client import HTTPSConnection
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+import osir
 from osir.backend import (
     BackendError,
     HttpBackend,
@@ -40,6 +46,15 @@ class TestBackendSettings:
     def test_http_needs_endpoint(self):
         with pytest.raises(ValueError, match="endpoint"):
             make_backend(PipelineConfig(backend_mode="http", endpoint=None))
+
+    @pytest.mark.parametrize("endpoint", [
+        "localhost:8000/complete", "ftp://x/complete", "http://",
+        "http://127.0.0.1:port/complete", "http://[::1/complete"])
+    def test_http_endpoint_must_be_an_http_url(self, endpoint):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"endpoint {endpoint!r} is not")):
+            make_backend(PipelineConfig(backend_mode="http",
+                                        endpoint=endpoint))
 
     def test_bad_mode(self):
         with pytest.raises(ConfigError, match="backend_mode"):
@@ -117,13 +132,15 @@ class TestReplayBackend:
 class _FlakyHandler(BaseHTTPRequestHandler):
     """Fails a configurable number of times, then succeeds.
 
-    Each failure answers failure_status with failure_headers; seen lists the
-    article id of every request in arrival order.
+    Each failure answers failure_status with failure_headers; a success
+    answers 200 with success_body, or with n completions when that is None.
+    seen lists the article id of every request in arrival order.
     """
 
     failures_left = 0
     failure_status = 500
     failure_headers: dict[str, str] = {}
+    success_body: bytes | None = None
     requests_seen = 0
     seen: list[str] = []
 
@@ -142,7 +159,9 @@ class _FlakyHandler(BaseHTTPRequestHandler):
             return
         payload = {"completions": [f"completion {i} for {body['n']}"
                                    for i in range(body["n"])]}
-        data = json.dumps(payload).encode("utf-8")
+        data = cls.success_body
+        if data is None:
+            data = json.dumps(payload).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -159,6 +178,7 @@ def flaky_server(monkeypatch):
     monkeypatch.setattr(_FlakyHandler, "failures_left", 0)
     monkeypatch.setattr(_FlakyHandler, "failure_status", 500)
     monkeypatch.setattr(_FlakyHandler, "failure_headers", {})
+    monkeypatch.setattr(_FlakyHandler, "success_body", None)
     monkeypatch.setattr(_FlakyHandler, "seen", [])
     server = HTTPServer(("127.0.0.1", 0), _FlakyHandler)
     thread = threading.Thread(target=server.serve_forever,
@@ -216,6 +236,33 @@ class TestHttpBackend:
         assert not isinstance(err.value, RetryableError)
         assert _FlakyHandler.seen == ["A"]
 
+    @pytest.mark.parametrize("status", [301, 302, 307])
+    def test_redirect_is_fatal(self, flaky_server, status):
+        _FlakyHandler.failures_left = 1
+        _FlakyHandler.failure_status = status
+        _FlakyHandler.failure_headers = {"Location": flaky_server}
+        with pytest.raises(BackendError, match=f"HTTP {status}") as err:
+            complete(prompt_for("A"), 1, self.config(flaky_server))
+        assert not isinstance(err.value, RetryableError)
+        assert _FlakyHandler.seen == ["A"]
+
+    @pytest.mark.parametrize("body", [
+        b"[1, 2]", b'"x"', b"null", b"3", b'{"choices": []}', b"not json",
+        b"\xff\xfe"])
+    def test_malformed_response_is_fatal(self, flaky_server, body):
+        _FlakyHandler.success_body = body
+        with pytest.raises(BackendError,
+                           match="malformed backend response for 'A'") as err:
+            complete(prompt_for("A"), 1, self.config(flaky_server))
+        assert not isinstance(err.value, RetryableError)
+        assert _FlakyHandler.seen == ["A"]
+
+    def test_proxy_variables_are_not_read(self, flaky_server, monkeypatch):
+        for name in ("HTTP_PROXY", "http_proxy", "ALL_PROXY", "all_proxy"):
+            monkeypatch.setenv(name, "http://127.0.0.1:1")
+        out = complete(prompt_for("A"), 1, self.config(flaky_server))
+        assert len(out) == 1 and _FlakyHandler.seen == ["A"]
+
     @pytest.mark.parametrize("header, seconds", [
         ("0", 0.0), ("2.5", 2.5), ("-1", None), ("nan", None), ("inf", None),
         ("Wed, 21 Oct 2026 07:28:00 GMT", None), (None, None)])
@@ -254,6 +301,119 @@ class TestHttpBackend:
         assert isinstance(replay, ReplayBackend)
         http = make_backend(self.config(flaky_server))
         assert isinstance(http, HttpBackend)
+
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    """An HTTP/1.1 server's handler: it keeps each connection open, or with
+    close_idle closes it after the response without saying so, as a server
+    drops an idle keep-alive connection. ports lists the client port of every
+    request."""
+
+    protocol_version = "HTTP/1.1"
+    close_idle = False
+    ports: list[int] = []
+
+    def do_POST(self):
+        cls = type(self)
+        cls.ports.append(self.client_address[1])
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        data = json.dumps({"completions": ["t"] * body["n"]}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+        self.close_connection = cls.close_idle
+
+    def log_message(self, *args):
+        pass
+
+
+class _KeepAliveServer(ThreadingHTTPServer):
+    daemon_threads = True
+    closed: threading.Event
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.set()
+
+
+@pytest.fixture
+def keepalive_server(monkeypatch):
+    """(endpoint, event set each time the server closes a connection)."""
+    monkeypatch.setattr(_KeepAliveHandler, "close_idle", False)
+    monkeypatch.setattr(_KeepAliveHandler, "ports", [])
+    server = _KeepAliveServer(("127.0.0.1", 0), _KeepAliveHandler)
+    server.closed = threading.Event()
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}/complete", server.closed
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+class TestConnections:
+    def config(self, endpoint: str) -> PipelineConfig:
+        return PipelineConfig(backend_mode="http", endpoint=endpoint,
+                              max_attempts=3, backoff_base=0.01, timeout=5.0,
+                              max_in_flight=1)
+
+    def test_one_thread_reuses_one_connection(self, keepalive_server):
+        endpoint, _ = keepalive_server
+        config = self.config(endpoint)
+        out = complete_all(HttpBackend(config),
+                           [prompt_for(i) for i in "ABCD"], 2, config)
+        assert [batch[0].article_id for batch in out] == list("ABCD")
+        assert len(_KeepAliveHandler.ports) == 4
+        assert len(set(_KeepAliveHandler.ports)) == 1
+
+    def test_idle_close_costs_no_retry(self, keepalive_server, caplog):
+        endpoint, closed = keepalive_server
+        _KeepAliveHandler.close_idle = True
+        config = self.config(endpoint)
+        backend = HttpBackend(config)
+
+        class AfterClose:
+            """Sends each prompt after the server dropped the connection
+            the one before it used."""
+
+            def complete(self, prompt, n):
+                if prompt.article_id != "A":
+                    assert closed.wait(5)
+                closed.clear()
+                return backend.complete(prompt, n)
+
+        with caplog.at_level(logging.WARNING, logger="osir.backend"):
+            out = complete_all(AfterClose(), [prompt_for(i) for i in "ABC"],
+                               1, config)
+        assert [batch[0].article_id for batch in out] == list("ABC")
+        assert not [r for r in caplog.records if "retrying" in r.getMessage()]
+        assert len(_KeepAliveHandler.ports) == 3
+        assert len(set(_KeepAliveHandler.ports)) == 3
+
+    def test_connections_close_with_the_backend(self, keepalive_server):
+        endpoint, closed = keepalive_server
+        backend = HttpBackend(self.config(endpoint))
+        backend.complete(prompt_for("A"), 1)
+        assert not closed.is_set()
+        del backend
+        assert closed.wait(5)
+
+    def test_https_endpoint_opens_tls(self):
+        backend = HttpBackend(self.config("https://127.0.0.1:1/complete"))
+        assert isinstance(backend._connection(), HTTPSConnection)
+
+
+def test_cli_import_leaves_out_requests():
+    # osir's start-up imports only the standard library's HTTP client
+    code = ("import sys, osir.cli; "
+            "print(sorted({'requests', 'urllib3'} & set(sys.modules)))")
+    src = str(Path(osir.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.fixture

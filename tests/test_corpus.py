@@ -1,5 +1,6 @@
 """Corpus loading, token counting, and middle-truncation."""
 
+import json
 import random
 import re
 import sys
@@ -122,6 +123,22 @@ class TestLoadCorpus:
         path = write_jsonl(tmp_path / "meta.jsonl", rows)
         key = next(iter(fields))
         with pytest.raises(CorpusError, match=f"line 2: '{key}' must be a"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("key", ["id", "title", "body_markdown",
+                                     "region"])
+    def test_lone_surrogate_names_line(self, tmp_path, key):
+        # json.dumps writes the lone surrogate as a \ud800 escape, which
+        # json.loads decodes back; no UTF-8 writer, hash or request body can
+        # encode it later in the run
+        rows = [{"id": "A1", "body_markdown": "caf\u00e9 \U0001f600"},
+                {"id": "A2", "body_markdown": "y", key: "x \ud800 y"}]
+        path = tmp_path / "surrogate.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows),
+                        encoding="ascii")
+        with pytest.raises(CorpusError,
+                           match=f"line 2: '{key}' holds a lone surrogate "
+                                 f"at index 2"):
             load_corpus(path)
 
     def test_null_or_absent_metadata_keeps_defaults(self, tmp_path):
