@@ -31,6 +31,7 @@ from urllib.parse import quote, urlsplit
 
 from .corpus import PreparedPrompt
 from .extraction import RawCompletion, read_completions
+from .jsonl import lone_surrogate
 
 if TYPE_CHECKING:
     from .config import PipelineConfig
@@ -165,8 +166,15 @@ class HttpBackend:
             raise BackendError(
                 f"backend returned {len(completions) if isinstance(completions, list) else 'no'} "
                 f"completions for {prompt.article_id!r}, expected {n}")
-        return [RawCompletion(prompt.article_id, i, str(completions[i]))
-                for i in range(n)]
+        texts = [str(completions[i]) for i in range(n)]
+        for i, text in enumerate(texts):
+            at = lone_surrogate(text)
+            if at is not None:
+                raise BackendError(
+                    f"malformed backend response for {prompt.article_id!r}: "
+                    f"completion {i} holds a lone surrogate at index {at}")
+        return [RawCompletion(prompt.article_id, i, text)
+                for i, text in enumerate(texts)]
 
 
 def _parse_endpoint(endpoint: str) -> tuple[str, str, int | None, str]:

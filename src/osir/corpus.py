@@ -10,12 +10,13 @@ A corpus is a UTF-8 line-delimited file, one JSON object per line with fields
 from __future__ import annotations
 
 import datetime as _dt
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
-from .jsonl import iter_jsonl, write_jsonl
+from .jsonl import iter_jsonl, lone_surrogate, write_jsonl
 from .text import normalize_text
 
 TRUNCATION_MARKER = "[TRUNCATED]"
@@ -108,12 +109,30 @@ class Article:
 
 @dataclass(frozen=True)
 class PreparedPrompt:
-    """Prompt text ready for a completion backend."""
+    """A prompt for a completion backend, held as a view of its article.
+
+    body is the article body itself, not a copy. cuts is None when the whole
+    body fits the budget; otherwise it is the (prefix end, suffix start)
+    offsets of a middle-truncated body, which keeps body[:prefix end] and
+    body[suffix start:], each stripped, around the truncation marker. The
+    prompt text is not stored: text builds it each time it is read, so it
+    lives only while its reader holds it.
+    """
 
     article_id: str
-    text: str
+    body: str
     token_count: int
-    truncated: bool
+    cuts: tuple[int, int] | None = None
+
+    @property
+    def truncated(self) -> bool:
+        return self.cuts is not None
+
+    @property
+    def text(self) -> str:
+        """The preamble and the (possibly truncated) body, built anew."""
+        body = self.body if self.cuts is None else _cut(self.body, self.cuts)
+        return f"{PROMPT_PREAMBLE}\n{body}"
 
 
 #: The ASCII code points that str.isspace() accepts, written out so that
@@ -122,6 +141,8 @@ _ASCII_SPACES = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
 #: Byte -> b" " for an ASCII space, b"x" for any other byte.
 _TOKEN_BYTES = b"".join(b" " if chr(i) in _ASCII_SPACES else b"x"
                         for i in range(256))
+#: The bytes per chunk whose token starts are counted to find a cut.
+_CUT_CHUNK = 8 * 1024
 
 
 def count_tokens(text: str) -> int:
@@ -133,7 +154,76 @@ def count_tokens(text: str) -> int:
     if not text.isascii():
         return len(text.split())
     marks = text.encode("ascii").translate(_TOKEN_BYTES)
-    return marks.count(b" x") + marks.startswith(b"x")
+    return _starts(marks, 0, len(marks))
+
+
+def _starts(marks: bytes, lo: int, hi: int) -> int:
+    """The number of tokens whose first byte is in marks[lo:hi]."""
+    if lo == 0:
+        return marks.count(b" x", 0, hi) + marks.startswith(b"x")
+    return marks.count(b" x", lo - 1, hi)
+
+
+def _token_start(marks: bytes, totals: list[int], k: int) -> int:
+    """The index in *marks* of the k-th token's first byte (k from 1).
+    totals[i] is the number of tokens that start before chunk i."""
+    chunk = bisect_left(totals, k) - 1  # totals[chunk] < k <= totals[chunk+1]
+    left = k - totals[chunk]
+    at = max(chunk * _CUT_CHUNK - 1, 0)
+    if chunk == 0 and marks.startswith(b"x"):
+        left -= 1
+    for _ in range(left):
+        at = marks.find(b" x", at) + 1
+    return at
+
+
+def _halves(budget: int) -> tuple[int, int]:
+    """The tokens a cut keeps (before, after) the marker."""
+    if budget < MARKER_TOKENS + 2:
+        raise ValueError(
+            f"budget {budget} too small: need the marker ({MARKER_TOKENS} "
+            f"tokens) plus at least one token on each side"
+        )
+    keep = budget - MARKER_TOKENS
+    return (keep + 1) // 2, keep // 2
+
+
+def _measure(text: str, budget: int) -> tuple[int, tuple[int, int] | None]:
+    """(count_tokens(text), cuts): cuts is None when the text fits *budget*,
+    else the offsets len(text) - len(text.split(None, head)[-1]) and
+    len(text.rsplit(None, tail)[0]) of truncate_middle's head and tail.
+
+    An ASCII text's cuts are found on the bytes it is counted on: the token
+    starts of each _CUT_CHUNK bytes are counted, bisect picks the chunk of
+    a cut's token, and find steps to it within that chunk. Any other text is
+    split.
+    """
+    head, tail = _halves(budget)
+    if not text.isascii():
+        tokens = len(text.split())
+        if tokens <= budget:
+            return tokens, None
+        return tokens, (len(text) - len(text.split(None, head)[-1]),
+                        len(text.rsplit(None, tail)[0]))
+    marks = text.encode("ascii").translate(_TOKEN_BYTES)
+    if len(marks) < 2 * budget:  # n tokens take at least 2n - 1 bytes
+        return _starts(marks, 0, len(marks)), None
+    totals = [0]
+    for lo in range(0, len(marks), _CUT_CHUNK):
+        totals.append(totals[-1] + _starts(marks, lo, lo + _CUT_CHUNK))
+    tokens = totals[-1]
+    if tokens <= budget:
+        return tokens, None
+    suffix = _token_start(marks, totals, tokens - tail + 1)
+    return tokens, (_token_start(marks, totals, head + 1),
+                    marks.rfind(b"x", 0, suffix) + 1)
+
+
+def _cut(text: str, cuts: tuple[int, int]) -> str:
+    """*text* cut at *cuts*: its stripped prefix and suffix joined by the
+    marker on its own line."""
+    prefix, suffix = text[:cuts[0]].strip(), text[cuts[1]:].strip()
+    return f"{prefix}\n{TRUNCATION_MARKER}\n{suffix}"
 
 
 def _article_from_payload(payload: dict, line_no: int) -> Article:
@@ -148,14 +238,10 @@ def _article_from_payload(payload: dict, line_no: int) -> Article:
             raise CorpusError(
                 f"line {line_no}: {key!r} must be a string if present")
     for key in ("id", "title", "body_markdown", "region"):
-        value = payload.get(key)
-        if value and not value.isascii():
-            try:
-                value.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise CorpusError(
-                    f"line {line_no}: {key!r} holds a lone surrogate at "
-                    f"index {exc.start}") from exc
+        at = lone_surrogate(payload.get(key) or "")
+        if at is not None:
+            raise CorpusError(
+                f"line {line_no}: {key!r} holds a lone surrogate at index {at}")
     discipline = payload.get("discipline") or "Unknown"
     if discipline not in DISCIPLINES:
         discipline = "Unknown"
@@ -210,8 +296,7 @@ def save_corpus(articles: Iterable[Article], path: str | Path) -> None:
     write_jsonl(path, map(article_to_payload, articles))
 
 
-def truncate_middle(text: str, budget: int,
-                    tokens: int | None = None) -> tuple[str, bool]:
+def truncate_middle(text: str, budget: int) -> tuple[str, bool]:
     """Truncate *text* to at most *budget* tokens, cutting from the middle.
 
     Returns (text, truncated). When the text fits the budget it is returned
@@ -219,46 +304,35 @@ def truncate_middle(text: str, budget: int,
     floor((budget - m) / 2) tokens are kept (m = the marker's own token
     count), joined by the marker on its own line, which makes exactly
     *budget* tokens. Original whitespace inside the kept prefix and suffix is
-    preserved. *tokens* is count_tokens(text) when the caller already has it.
-    The cuts come from str.split / str.rsplit with a maxsplit, not from a
-    list of token spans.
+    preserved. The cuts are those of build_prompt (see _measure).
 
     Odd remainders favor the prefix; the first and last tokens of an
     over-budget input always survive. Idempotent for a fixed budget.
     """
-    if budget < MARKER_TOKENS + 2:
-        raise ValueError(
-            f"budget {budget} too small: need the marker ({MARKER_TOKENS} "
-            f"tokens) plus at least one token on each side"
-        )
-    if (count_tokens(text) if tokens is None else tokens) <= budget:
-        return text, False
-
-    keep = budget - MARKER_TOKENS
-    head, tail = (keep + 1) // 2, keep // 2
-    prefix = text[: len(text) - len(text.split(None, head)[-1])].strip()
-    suffix = text[len(text.rsplit(None, tail)[0]) :].strip()
-    return f"{prefix}\n{TRUNCATION_MARKER}\n{suffix}", True
+    cuts = _measure(text, budget)[1]
+    return (text, False) if cuts is None else (_cut(text, cuts), True)
 
 
 def build_prompt(
     article: Article,
     budget: int = DEFAULT_TOKEN_BUDGET,
 ) -> PreparedPrompt:
-    """Assemble the instruction preamble and (possibly truncated) article body.
+    """The prompt of *article*: the instruction preamble and its body,
+    middle-truncated as truncate_middle does when the body is over budget.
 
     The preamble's tokens count against the budget, so the body receives
-    whatever remains. The body is tokenized once: a truncated body has
-    exactly the body budget's tokens, and the preamble ends in a newline, so
-    joining it to the body merges no tokens. Deterministic: the same article
-    always yields a byte-identical prompt.
+    whatever remains. The body is tokenized once, and the prompt holds the
+    article's body and its cut offsets, not a copy: its text is built when
+    it is read. A truncated body has exactly the body budget's tokens, and
+    the preamble ends in a newline, so joining it to the body merges no
+    tokens. Deterministic: the same article always yields a byte-identical
+    prompt.
     """
     body_budget = budget - PREAMBLE_TOKENS
-    body_tokens = count_tokens(article.body)
-    body, truncated = truncate_middle(article.body, body_budget, body_tokens)
+    body_tokens, cuts = _measure(article.body, body_budget)
     return PreparedPrompt(
         article_id=article.id,
-        text=f"{PROMPT_PREAMBLE}\n{body}",
+        body=article.body,
         token_count=PREAMBLE_TOKENS + min(body_tokens, body_budget),
-        truncated=truncated,
+        cuts=cuts,
     )

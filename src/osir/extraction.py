@@ -14,7 +14,8 @@ from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 from typing import Iterable
 
-from .jsonl import field_dict, field_names, iter_jsonl, write_jsonl
+from .jsonl import (field_dict, field_names, iter_jsonl, lone_surrogate,
+                    write_jsonl)
 
 
 @dataclass(frozen=True)
@@ -230,6 +231,10 @@ def read_completions(
         text = payload.get("text")
         if not isinstance(text, str):
             raise error_cls(f"line {line_no}: text must be a string")
+        at = lone_surrogate(text)
+        if at is not None:
+            raise error_cls(
+                f"line {line_no}: text holds a lone surrogate at index {at}")
         if key in out:
             raise error_cls(f"line {line_no}: duplicate sample {key}")
         out[key] = RawCompletion(*key, text)

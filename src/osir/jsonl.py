@@ -44,6 +44,19 @@ def iter_jsonl(path: str | Path, error_cls: type[Exception],
             yield line_no, payload
 
 
+def lone_surrogate(text: str) -> int | None:
+    """The index of the first lone surrogate in *text* (a JSON escape such
+    as \\ud800 decodes to one, and UTF-8 cannot encode it), or None. Only a
+    non-ASCII text is encoded to find out."""
+    if text.isascii():
+        return None
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return exc.start
+    return None
+
+
 #: The encoder of every JSON Lines row; json.dumps would build one per row.
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
 

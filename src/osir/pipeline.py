@@ -17,6 +17,7 @@ import hashlib
 import json
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 from .backend import complete_all, make_backend
@@ -88,8 +89,19 @@ class PipelineManifest:
     stages: tuple[StageOutput, ...]
 
 
+#: The bytes file_digest reads at a time. Each read allocates a whole chunk,
+#: even for a file of a few bytes, so the chunk is kept small.
+DIGEST_CHUNK = 64 * 1024
+
+
 def file_digest(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The sha256 of a file, read in DIGEST_CHUNK pieces so that a large
+    corpus is never held whole."""
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as fh:
+        for chunk in iter(partial(fh.read, DIGEST_CHUNK), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def config_digest(config: PipelineConfig) -> str:
@@ -142,7 +154,7 @@ def save_prompts(prompts: list[PreparedPrompt], path: str | Path) -> None:
     """One row per prompt (prompts.jsonl), without its text: the text is
     build_prompt's of the corpus article under the manifest's template
     version and token_budget, and prompt_sha256 is the sha256 of its UTF-8
-    bytes."""
+    bytes. Each text is built for its hash and dropped."""
     write_jsonl(path, ({"article_id": p.article_id,
                         "prompt_sha256": hashlib.sha256(
                             p.text.encode("utf-8")).hexdigest(),

@@ -26,15 +26,16 @@ from osir.backend import (
     make_backend,
 )
 from osir.config import ConfigError, PipelineConfig
-from osir.corpus import PreparedPrompt
+from osir.corpus import PROMPT_PREAMBLE, PreparedPrompt
 from osir.extraction import RawCompletion
 
 from conftest import write_jsonl
 
 
 def prompt_for(article_id: str) -> PreparedPrompt:
-    return PreparedPrompt(article_id=article_id, text=f"prompt for {article_id}",
-                          token_count=3, truncated=False)
+    """A prompt whose text is the preamble then "prompt for <article_id>"."""
+    return PreparedPrompt(article_id=article_id, body=f"prompt for {article_id}",
+                          token_count=3)
 
 
 class TestBackendSettings:
@@ -116,6 +117,17 @@ class TestReplayBackend:
         with pytest.raises(ReplayFixtureError, match="line 2"):
             ReplayBackend(path)
 
+    def test_lone_surrogate_in_text_names_line(self, tmp_path):
+        path = tmp_path / "fixture.jsonl"
+        path.write_text(
+            '{"article_id": "A", "sample_index": 0, "text": "ok"}\n'
+            '{"article_id": "A", "sample_index": 1, '
+            '"text": "bad \\ud800 text"}\n', encoding="utf-8")
+        with pytest.raises(ReplayFixtureError,
+                           match="line 2: text holds a lone surrogate at "
+                                 "index 4"):
+            ReplayBackend(path)
+
     def test_missing_fixture_file(self, tmp_path):
         with pytest.raises(ReplayFixtureError, match="not found"):
             ReplayBackend(tmp_path / "missing.jsonl")
@@ -149,7 +161,8 @@ class _FlakyHandler(BaseHTTPRequestHandler):
         cls.requests_seen += 1
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length))
-        cls.seen.append(body["prompt"].removeprefix("prompt for "))
+        cls.seen.append(body["prompt"].removeprefix(
+            f"{PROMPT_PREAMBLE}\nprompt for "))
         if cls.failures_left > 0:
             cls.failures_left -= 1
             self.send_response(cls.failure_status)
@@ -254,6 +267,16 @@ class TestHttpBackend:
         with pytest.raises(BackendError,
                            match="malformed backend response for 'A'") as err:
             complete(prompt_for("A"), 1, self.config(flaky_server))
+        assert not isinstance(err.value, RetryableError)
+        assert _FlakyHandler.seen == ["A"]
+
+    def test_lone_surrogate_in_a_completion_is_fatal(self, flaky_server):
+        _FlakyHandler.success_body = \
+            b'{"completions": ["fine", "bad \\ud800 text"]}'
+        with pytest.raises(BackendError, match=re.escape(
+                "malformed backend response for 'A': completion 1 holds a "
+                "lone surrogate at index 4")) as err:
+            complete(prompt_for("A"), 2, self.config(flaky_server))
         assert not isinstance(err.value, RetryableError)
         assert _FlakyHandler.seen == ["A"]
 

@@ -1,5 +1,6 @@
 """Corpus loading, token counting, and middle-truncation."""
 
+import dataclasses
 import json
 import random
 import re
@@ -14,6 +15,7 @@ from osir.corpus import (
     Article,
     CorpusError,
     PROMPT_PREAMBLE,
+    PreparedPrompt,
     TRUNCATION_MARKER,
     build_prompt,
     count_tokens,
@@ -267,14 +269,24 @@ class TestBuildPrompt:
         art = make_article("A1", " ".join(f"w{i}" for i in range(1_000)))
         assert build_prompt(art, 300) == build_prompt(art, 300)
 
+    @pytest.mark.parametrize("words", [10, 1_000])
+    def test_prompt_holds_the_body_not_its_text(self, words):
+        art = make_article("A1", " ".join(f"w{i}" for i in range(words)))
+        prompt = build_prompt(art, 300)
+        assert prompt.truncated is (words > 300)
+        assert prompt.body is art.body
+        assert "text" not in {f.name for f in dataclasses.fields(PreparedPrompt)}
+
 
 class TestTokenizerOracle:
     """count_tokens, truncate_middle and build_prompt against the regex
-    tokenizer of tests/oracles.py."""
+    tokenizer of tests/oracles.py. The properties are static methods, so
+    that the small-chunk test can run them again."""
 
+    @staticmethod
     @settings(max_examples=400, deadline=None)
     @given(text=_texts, data=st.data())
-    def test_agrees_with_oracle(self, text, data):
+    def test_agrees_with_oracle(text, data):
         # Budgets from 3 up to one past the token count, so that many texts
         # are cut.
         budget = data.draw(st.integers(
@@ -292,9 +304,10 @@ class TestTokenizerOracle:
         assert (prompt.text, prompt.token_count, prompt.truncated) == \
             (want, oracle_count_tokens(want), truncated)
 
+    @staticmethod
     @settings(max_examples=400, deadline=None)
     @given(text=_mixed_texts, data=st.data())
-    def test_byte_count_agrees_with_oracle(self, text, data):
+    def test_byte_count_agrees_with_oracle(text, data):
         # ASCII texts and others, so that both the byte count and its
         # str.split fallback are checked.
         assert count_tokens(text) == oracle_count_tokens(text)
@@ -309,3 +322,30 @@ class TestTokenizerOracle:
         want = f"{PROMPT_PREAMBLE}\n{body}"
         assert (prompt.text, prompt.token_count, prompt.truncated) == \
             (want, oracle_count_tokens(want), truncated)
+
+    @staticmethod
+    @settings(max_examples=400, deadline=None)
+    @given(text=_mixed_texts, data=st.data())
+    def test_cuts_are_the_split_offsets(text, data):
+        # The offsets of truncate_middle's former split/rsplit cut.
+        budget = data.draw(st.integers(min_value=3, max_value=30))
+        keep = budget - oracle_count_tokens(TRUNCATION_MARKER)
+        head, tail = (keep + 1) // 2, keep // 2
+        prompt = build_prompt(make_article("A1", text or "x"),
+                              oracle_count_tokens(PROMPT_PREAMBLE) + budget)
+        body = prompt.body
+        if count_tokens(body) <= budget:
+            assert prompt.cuts is None
+        else:
+            assert prompt.cuts == (
+                len(body) - len(body.split(None, head)[-1]),
+                len(body.rsplit(None, tail)[0]))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 8])
+    def test_agrees_with_oracle_in_small_chunks(self, monkeypatch, chunk):
+        # The properties' texts are shorter than one default chunk, so the
+        # chunked cut search is checked across chunk edges here.
+        monkeypatch.setattr(corpus, "_CUT_CHUNK", chunk)
+        self.test_agrees_with_oracle()
+        self.test_byte_count_agrees_with_oracle()
+        self.test_cuts_are_the_split_offsets()

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import random
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -22,9 +24,23 @@ from osir.corpus import (
     load_corpus,
 )
 from osir.extraction import RawCompletion, parse_extraction
-from osir.pipeline import PipelineError, config_digest, file_digest, run_pipeline
+from osir.pipeline import (
+    DIGEST_CHUNK,
+    PipelineError,
+    config_digest,
+    file_digest,
+    run_pipeline,
+)
 
-from conftest import build_replay_bundle
+from conftest import (
+    build_replay_bundle,
+    completion_row,
+    corpus_row,
+    make_article,
+    make_completion,
+    make_record,
+    write_jsonl,
+)
 
 
 class CountingBackend:
@@ -270,3 +286,42 @@ class TestSharedStages:
         # derivation changes.
         assert config_digest(PipelineConfig()) == \
             "227de776d4e2788a50aaed32af628fbc4eb611c973e0300d1f14f46be0dce470"
+
+
+class TestMemory:
+    @pytest.mark.parametrize("size", [0, 1, DIGEST_CHUNK - 1, DIGEST_CHUNK,
+                                      DIGEST_CHUNK + 1])
+    def test_file_digest_reads_in_chunks(self, tmp_path, size):
+        path = tmp_path / "data.bin"
+        path.write_bytes(random.Random(size).randbytes(size))
+        assert file_digest(path) == \
+            hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_run_holds_each_body_once(self, tmp_path):
+        # Four 1 MB bodies of 20,000 tokens each, under the default budget,
+        # so that a stored prompt text would copy each body whole. The bodies
+        # are the only large thing the run must hold; a second copy of them
+        # (prompt texts kept for the run, or the corpus file read whole for
+        # its digest) reaches twice the corpus file's size.
+        rng = random.Random(5)
+        articles = [
+            make_article(f"big-{i}", " ".join(
+                "".join(rng.choices("abcdefghij", k=49))
+                for _ in range(20_000)))
+            for i in range(4)]
+        corpus = write_jsonl(tmp_path / "corpus.jsonl",
+                             [corpus_row(a) for a in articles])
+        fixture = write_jsonl(tmp_path / "fixture.jsonl", [
+            completion_row(make_completion(a.id, 0, make_record()))
+            for a in articles])
+        config = replay_config(fixture, samples_per_article=1)
+        tracemalloc.start()
+        try:
+            run_pipeline(corpus, tmp_path / "out", config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = [json.loads(line) for line in
+                (tmp_path / "out" / "prompts.jsonl").read_text().splitlines()]
+        assert [row["truncated"] for row in rows] == [False] * 4
+        assert peak < 2 * corpus.stat().st_size
