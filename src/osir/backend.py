@@ -8,6 +8,10 @@ bit-reproducible runs. Both read their settings from the PipelineConfig;
 make_backend checks the one setting its mode needs. A backend's complete()
 makes one attempt; complete_all schedules the attempts of many prompts and
 their retries for both.
+
+The network stack (http.client, and with it ssl, socket and email) is
+imported when an HttpBackend is built, so a process that only replays,
+scores or evaluates never loads it.
 """
 
 from __future__ import annotations
@@ -17,13 +21,10 @@ import json
 import logging
 import math
 import os
-import select
-import ssl
 import time
 import weakref
 from collections import deque
 from functools import partial
-from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from pathlib import Path
 from threading import Condition, Thread, local
 from typing import TYPE_CHECKING
@@ -34,6 +35,8 @@ from .extraction import RawCompletion, read_completions
 from .jsonl import lone_surrogate
 
 if TYPE_CHECKING:
+    from http.client import HTTPConnection
+
     from .config import PipelineConfig
 
 log = logging.getLogger(__name__)
@@ -86,22 +89,27 @@ class HttpBackend:
     server against the system trust store. Each thread keeps one keep-alive
     connection for all its requests, and opens a new one when the server has
     closed it while it sat idle. The connections close once the backend is
-    collected. Proxy variables in the environment are not read.
+    collected. Proxy variables in the environment are not read. The
+    transport modules are imported by the constructor, not with this module.
 
     A transport error, 429 or 5xx raises RetryableError; any other status, a
     3xx included, or a malformed response raises BackendError.
     """
 
     def __init__(self, config: PipelineConfig):
+        import http.client
+        import ssl
+
         self._config = config
         scheme, host, port, self._target = _parse_endpoint(config.endpoint)
         if scheme == "https":
-            self._open = partial(HTTPSConnection, host, port,
+            self._open = partial(http.client.HTTPSConnection, host, port,
                                  timeout=config.timeout,
                                  context=ssl.create_default_context())
         else:
-            self._open = partial(HTTPConnection, host, port,
+            self._open = partial(http.client.HTTPConnection, host, port,
                                  timeout=config.timeout)
+        self._transport_errors = (OSError, http.client.HTTPException)
         self._local = local()
         self._connections: list[HTTPConnection] = []
         weakref.finalize(self, _close_all, self._connections)
@@ -109,6 +117,8 @@ class HttpBackend:
     def _connection(self) -> HTTPConnection:
         """This thread's connection. An idle socket that reads as ready has
         been closed by the server, so it is dropped for a new one."""
+        import select
+
         conn = getattr(self._local, "connection", None)
         if conn is None:
             conn = self._local.connection = self._open()
@@ -135,7 +145,7 @@ class HttpBackend:
             conn.request("POST", self._target, body, self._headers())
             response = conn.getresponse()
             data = response.read()
-        except (OSError, HTTPException) as exc:
+        except self._transport_errors as exc:
             conn.close()
             raise RetryableError(f"transport error: {exc}") from exc
         status = response.status
@@ -166,8 +176,12 @@ class HttpBackend:
             raise BackendError(
                 f"backend returned {len(completions) if isinstance(completions, list) else 'no'} "
                 f"completions for {prompt.article_id!r}, expected {n}")
-        texts = [str(completions[i]) for i in range(n)]
+        texts = completions[:n]
         for i, text in enumerate(texts):
+            if not isinstance(text, str):
+                raise BackendError(
+                    f"malformed backend response for {prompt.article_id!r}: "
+                    f"completion {i} is not a string")
             at = lone_surrogate(text)
             if at is not None:
                 raise BackendError(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import astuple, dataclass, fields
-from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Iterable
 
@@ -27,16 +26,14 @@ def percent_half_up(count: int, total: int) -> int:
     """Integer percentage with exact round-half-up (not banker's rounding)."""
     if total == 0:
         return 0
-    return int((Decimal(100 * count) / Decimal(total))
-               .quantize(Decimal("1"), rounding=ROUND_HALF_UP))
+    return (200 * count + total) // (2 * total)
 
 
 def percent_one_decimal(count: int, total: int) -> float:
     """One-decimal percentage, round-half-up."""
     if total == 0:
         return 0.0
-    return float((Decimal(100 * count) / Decimal(total))
-                 .quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+    return (2000 * count + total) // (2 * total) / 10
 
 
 @dataclass(frozen=True)

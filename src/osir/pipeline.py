@@ -271,6 +271,7 @@ def run_pipeline(
     emit("complete", out / "completions.jsonl")
 
     parsed = parse_stage(completions)
+    del completions  # saved and parsed: nothing reads the texts again
     save_parsed(parsed, out / "records.jsonl")
     emit("parse", out / "records.jsonl")
 

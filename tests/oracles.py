@@ -2,14 +2,16 @@
 
 These deliberately avoid the production code paths: the edit distance is a
 full-matrix textbook DP, the window scan enumerates every window with no
-short-circuits, the set matcher tries every one-to-one assignment, and the
-tokenizer lists the spans of a regular expression.
+short-circuits, the set matcher tries every one-to-one assignment, the
+tokenizer lists the spans of a regular expression, and the percentages round
+in decimal arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from decimal import ROUND_HALF_UP, Decimal
 
 _TOKEN = re.compile(r"\S+")
 
@@ -132,3 +134,17 @@ def oracle_truncate_middle(text: str, budget: int,
     prefix = text[spans[0][0]:spans[(keep + 1) // 2 - 1][1]]
     suffix = text[spans[-(keep // 2)][0]:spans[-1][1]]
     return f"{prefix}\n{marker}\n{suffix}", True
+
+
+def oracle_percent_half_up(count: int, total: int) -> int:
+    if total == 0:
+        return 0
+    return int((Decimal(100 * count) / Decimal(total))
+               .quantize(Decimal("1"), rounding=ROUND_HALF_UP))
+
+
+def oracle_percent_one_decimal(count: int, total: int) -> float:
+    if total == 0:
+        return 0.0
+    return float((Decimal(100 * count) / Decimal(total))
+                 .quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))

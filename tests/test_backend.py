@@ -29,7 +29,7 @@ from osir.config import ConfigError, PipelineConfig
 from osir.corpus import PROMPT_PREAMBLE, PreparedPrompt
 from osir.extraction import RawCompletion
 
-from conftest import write_jsonl
+from conftest import build_replay_bundle, write_jsonl
 
 
 def prompt_for(article_id: str) -> PreparedPrompt:
@@ -261,7 +261,7 @@ class TestHttpBackend:
 
     @pytest.mark.parametrize("body", [
         b"[1, 2]", b'"x"', b"null", b"3", b'{"choices": []}', b"not json",
-        b"\xff\xfe"])
+        b"\xff\xfe", b'{"completions": [null]}', b'{"completions": [7]}'])
     def test_malformed_response_is_fatal(self, flaky_server, body):
         _FlakyHandler.success_body = body
         with pytest.raises(BackendError,
@@ -428,15 +428,31 @@ class TestConnections:
         assert isinstance(backend._connection(), HTTPSConnection)
 
 
-def test_cli_import_leaves_out_requests():
-    # osir's start-up imports only the standard library's HTTP client
-    code = ("import sys, osir.cli; "
-            "print(sorted({'requests', 'urllib3'} & set(sys.modules)))")
+def test_start_up_and_replay_load_no_network_stack(tmp_path):
+    # the network stack loads only when an HTTP backend is built
+    paths = build_replay_bundle(tmp_path, n_articles=2)
+    code = f"""
+import sys
+import osir, osir.cli
+from osir.backend import make_backend
+from osir.config import PipelineConfig
+from osir.pipeline import run_pipeline
+
+network = {{"http.client", "ssl", "email", "requests", "urllib3"}}
+run_pipeline({str(paths["corpus"])!r}, {str(tmp_path / "out")!r},
+             PipelineConfig(backend_mode="replay",
+                            fixture_path={str(paths["fixture"])!r}),
+             gold_path={str(paths["gold"])!r})
+print(sorted(network & set(sys.modules)))
+make_backend(PipelineConfig(backend_mode="http",
+                            endpoint="http://127.0.0.1:1/complete"))
+print("http.client" in sys.modules)
+"""
     src = str(Path(osir.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split("\n")[:2] == ["[]", "True"]
 
 
 @pytest.fixture

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from osir.evaluation import SampleSet
 from osir.extraction import ParseOutcome
@@ -17,6 +19,7 @@ from osir.indicators import (
 )
 
 from conftest import make_article, make_record
+from oracles import oracle_percent_half_up, oracle_percent_one_decimal
 
 
 def parsed_samples(article_id: str, records: list) -> SampleSet:
@@ -108,6 +111,28 @@ class TestPercentRounding:
     def test_one_decimal(self):
         assert percent_one_decimal(487, 4475) == 10.9
         assert percent_one_decimal(1, 16) == 6.3  # 6.25 -> half-up
+
+    def test_empty_total_is_zero(self):
+        assert percent_half_up(0, 0) == 0
+        assert percent_one_decimal(0, 0) == 0.0
+
+    def test_match_decimal_oracle_on_every_small_total(self):
+        # exact halves, where the rounding rule shows, are common here
+        for total in range(200):
+            for count in range(total + 1):
+                assert percent_half_up(count, total) == \
+                    oracle_percent_half_up(count, total)
+                assert percent_one_decimal(count, total) == \
+                    oracle_percent_one_decimal(count, total)
+
+    @given(st.one_of(st.integers(1, 400), st.integers(1, 10**9)).flatmap(
+        lambda total: st.tuples(st.integers(0, total), st.just(total))))
+    def test_match_decimal_oracle(self, count_total):
+        count, total = count_total
+        assert percent_half_up(count, total) == \
+            oracle_percent_half_up(count, total)
+        assert percent_one_decimal(count, total) == \
+            oracle_percent_one_decimal(count, total)
 
 
 def discipline_fixture():
