@@ -26,7 +26,7 @@ import weakref
 from collections import deque
 from functools import partial
 from pathlib import Path
-from threading import Condition, Thread, local
+from threading import TIMEOUT_MAX, Condition, Thread, local
 from typing import TYPE_CHECKING
 from urllib.parse import quote, urlsplit
 
@@ -256,9 +256,10 @@ def complete_all(backend: ReplayBackend | HttpBackend,
     A RetryableError sends its prompt to wait out a delay, the server's
     Retry-After if it gave one, else backoff_base * 2**(attempt - 1), while
     its thread pulls the next prompt; once the delay is over the prompt
-    queues behind those not yet sent. The max_attempts-th failure, or any
-    other error, is fatal: no attempt starts after it, the ones already
-    running finish, and the error is raised.
+    queues behind those not yet sent. The max_attempts-th failure, a delay
+    longer than threading.TIMEOUT_MAX, or any other error in a thread is
+    fatal: no attempt starts after it, the ones already running finish, and
+    the error is raised.
     """
     results: list[list[RawCompletion]] = [[] for _ in prompts]
     ready = deque((index, 1) for index in range(len(prompts)))
@@ -285,44 +286,52 @@ def complete_all(backend: ReplayBackend | HttpBackend,
         return None
 
     def settle(index: int, attempt: int, exc: BaseException) -> None:
-        """Back off a retryable failure, or record the first fatal one;
-        called holding *changed*."""
-        nonlocal fatal
-        if isinstance(exc, RetryableError) and attempt < config.max_attempts:
-            delay = (config.backoff_base * 2 ** (attempt - 1)
+        """Back off a retryable failure, or raise a fatal one; called
+        holding *changed*."""
+        article_id = prompts[index].article_id
+        if not isinstance(exc, RetryableError):
+            raise exc
+        if attempt >= config.max_attempts:
+            raise BackendError(f"backend unreachable for {article_id!r} "
+                               f"after {attempt} attempts: {exc}") from exc
+        try:
+            delay = (math.ldexp(config.backoff_base, attempt - 1)
                      if exc.retry_after is None else exc.retry_after)
-            log.warning("retrying %s after %s (attempt %d/%d, waiting %.2fs)",
-                        prompts[index].article_id, exc, attempt,
-                        config.max_attempts, delay)
-            heapq.heappush(waiting, (time.monotonic() + delay, index,
-                                     attempt + 1))
-        elif fatal is None:
-            if isinstance(exc, RetryableError):
-                error = BackendError(
-                    f"backend unreachable for {prompts[index].article_id!r} "
-                    f"after {attempt} attempts: {exc}")
-                error.__cause__ = exc
-                exc = error
-            fatal = exc
+        except OverflowError:
+            delay = math.inf
+        if not delay <= TIMEOUT_MAX:
+            raise BackendError(f"cannot wait {delay} s to retry "
+                               f"{article_id!r}") from exc
+        log.warning("retrying %s after %s (attempt %d/%d, waiting %.2fs)",
+                    article_id, exc, attempt, config.max_attempts, delay)
+        heapq.heappush(waiting, (time.monotonic() + delay, index,
+                                 attempt + 1))
 
     def work() -> None:
-        nonlocal running
-        with changed:
-            job = pull()
-        while job is not None:
-            index, attempt = job
-            try:
-                batch, failure = backend.complete(prompts[index], n), None
-            except BaseException as exc:  # re-raised by the calling thread
-                batch, failure = None, exc
+        """Settle the last attempt and pull the next, holding *changed*."""
+        nonlocal running, fatal
+        job = None
+        while True:
             with changed:
-                running -= 1
-                if failure is None:
-                    results[index] = batch
-                else:
-                    settle(index, attempt, failure)
+                try:
+                    if job is not None:
+                        running -= 1
+                        if failure is None:
+                            results[job[0]] = batch
+                        else:
+                            settle(*job, failure)
+                    job = pull()
+                except BaseException as exc:  # re-raised by the calling thread
+                    if fatal is None:
+                        fatal = exc
+                    job = None
                 changed.notify_all()
-                job = pull()
+            if job is None:
+                return
+            try:
+                batch, failure = backend.complete(prompts[job[0]], n), None
+            except BaseException as exc:  # settled in the next pass
+                batch, failure = None, exc
 
     threads = [Thread(target=work, daemon=True)
                for _ in range(min(config.max_in_flight, len(prompts)))]

@@ -38,8 +38,8 @@ UNIT_INTERVAL = ("threshold_identifier", "threshold_citation", "f1_floor")
 BOUNDS = {
     **dict.fromkeys(AT_LEAST_ONE, (lambda v: v >= 1, "at least 1")),
     **dict.fromkeys(UNIT_INTERVAL, (lambda v: 0 <= v <= 1, "in [0, 1]")),
-    "timeout": (lambda v: v > 0, "greater than 0"),
-    "backoff_base": (lambda v: v >= 0, "at least 0"),
+    "timeout": (lambda v: 0 < v < float("inf"), "finite and greater than 0"),
+    "backoff_base": (lambda v: 0 <= v < float("inf"), "finite and at least 0"),
 }
 
 
@@ -57,7 +57,6 @@ class PipelineConfig:
     pass1_mode: str = "mean"
     f1_floor: float = DEFAULT_F1_FLOOR
     group_by: str = "discipline"
-    seed: int = 0
     backend_mode: str = "replay"
     endpoint: str | None = None
     auth_token_env: str = "OSIR_TOKEN"

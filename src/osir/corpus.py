@@ -177,17 +177,6 @@ def _token_start(marks: bytes, totals: list[int], k: int) -> int:
     return at
 
 
-def _halves(budget: int) -> tuple[int, int]:
-    """The tokens a cut keeps (before, after) the marker."""
-    if budget < MARKER_TOKENS + 2:
-        raise ValueError(
-            f"budget {budget} too small: need the marker ({MARKER_TOKENS} "
-            f"tokens) plus at least one token on each side"
-        )
-    keep = budget - MARKER_TOKENS
-    return (keep + 1) // 2, keep // 2
-
-
 def _measure(text: str, budget: int) -> tuple[int, tuple[int, int] | None]:
     """(count_tokens(text), cuts): cuts is None when the text fits *budget*,
     else the offsets len(text) - len(text.split(None, head)[-1]) and
@@ -198,7 +187,13 @@ def _measure(text: str, budget: int) -> tuple[int, tuple[int, int] | None]:
     a cut's token, and find steps to it within that chunk. Any other text is
     split.
     """
-    head, tail = _halves(budget)
+    if budget < MARKER_TOKENS + 2:
+        raise ValueError(
+            f"budget {budget} too small: need the marker ({MARKER_TOKENS} "
+            f"tokens) plus at least one token on each side"
+        )
+    keep = budget - MARKER_TOKENS  # the tokens a cut keeps around the marker
+    head, tail = (keep + 1) // 2, keep // 2
     if not text.isascii():
         tokens = len(text.split())
         if tokens <= budget:
@@ -206,8 +201,6 @@ def _measure(text: str, budget: int) -> tuple[int, tuple[int, int] | None]:
         return tokens, (len(text) - len(text.split(None, head)[-1]),
                         len(text.rsplit(None, tail)[0]))
     marks = text.encode("ascii").translate(_TOKEN_BYTES)
-    if len(marks) < 2 * budget:  # n tokens take at least 2n - 1 bytes
-        return _starts(marks, 0, len(marks)), None
     totals = [0]
     for lo in range(0, len(marks), _CUT_CHUNK):
         totals.append(totals[-1] + _starts(marks, lo, lo + _CUT_CHUNK))
@@ -278,22 +271,13 @@ def load_corpus(path: str | Path) -> list[Article]:
     return articles
 
 
-def article_to_payload(article: Article) -> dict:
-    payload = {
-        "id": article.id,
-        "title": article.title,
-        "body_markdown": article.body,
-        "discipline": article.discipline,
-        "region": article.region,
-    }
-    if article.published is not None:
-        payload["published"] = article.published
-    return payload
-
-
 def save_corpus(articles: Iterable[Article], path: str | Path) -> None:
     """Serialize articles back to the line-delimited corpus format."""
-    write_jsonl(path, map(article_to_payload, articles))
+    write_jsonl(path, ({"id": a.id, "title": a.title, "body_markdown": a.body,
+                        "discipline": a.discipline, "region": a.region,
+                        **({} if a.published is None
+                           else {"published": a.published})}
+                       for a in articles))
 
 
 def truncate_middle(text: str, budget: int) -> tuple[str, bool]:

@@ -57,9 +57,6 @@ class Thresholds:
     def for_kind(self, kind: str) -> float:
         return self.citation if kind == "citation" else self.identifier
 
-    def for_field(self, name: str) -> float:
-        return self.for_kind(field_kind(name))
-
 
 DEFAULT_THRESHOLDS = Thresholds()
 
@@ -104,33 +101,32 @@ def _best_window(art: str, cand: str, starts: bytearray | None = None
     Returns (score, span). Inputs must already be normalized; cand non-empty.
     *starts*, one byte per start s (n - lo + 1 of them), marks with 1 the
     starts to score; the result is then the best of their windows, or
-    (0.0, (0, 0)) when none is marked. None scores every start.
+    (0.0, (0, 0)) when none is marked. None marks every start.
     """
     n, length = len(art), len(cand)
     lo, hi = _window_lengths(length)
     if n < lo:
         return similarity(cand, art), (0, n)
     if starts is None:
-        runs = [(0, n)]
-    else:
-        # The scanned text is the piece art[a:b - 1 + hi] that the windows of
-        # each run a..b-1 of marked starts read; pieces that touch are merged,
-        # so the text is never longer than the article and a lane of a marked
-        # start reads the same characters as in the article.
-        runs = []
-        a = starts.find(1)
-        while a != -1:
-            b = starts.find(0, a)
-            if b == -1:
-                b = len(starts)
-            end = min(n, b - 1 + hi)
-            if runs and a <= runs[-1][1]:
-                runs[-1] = (runs[-1][0], end)
-            else:
-                runs.append((a, end))
-            a = starts.find(1, b)
-        if not runs:
-            return 0.0, (0, 0)
+        starts = bytearray(b"\x01") * (n - lo + 1)
+    # The scanned text is the piece art[a:b - 1 + hi] that the windows of
+    # each run a..b-1 of marked starts read; pieces that touch are merged,
+    # so the text is never longer than the article and a lane of a marked
+    # start reads the same characters as in the article.
+    runs = []
+    a = starts.find(1)
+    while a != -1:
+        b = starts.find(0, a)
+        if b == -1:
+            b = len(starts)
+        end = min(n, b - 1 + hi)
+        if runs and a <= runs[-1][1]:
+            runs[-1] = (runs[-1][0], end)
+        else:
+            runs.append((a, end))
+        a = starts.find(1, b)
+    if not runs:
+        return 0.0, (0, 0)
     text = "".join(art[a:end] for a, end in runs)
     n = len(text)
     hi = min(hi, n)
@@ -153,12 +149,10 @@ def _best_window(art: str, cand: str, starts: bytearray | None = None
 
     count = n - lo + 1
     ones = int.from_bytes((b"\x01" + bytes(size - 1)) * count, "little")
-    if starts is None:
-        wanted = ones
-    else:  # the lanes of marked starts, each a marks slice over its piece
-        lanes = bytearray(count * size)
-        lanes[::size] = b"".join(starts[a:end] for a, end in runs)[:count]
-        wanted = int.from_bytes(lanes, "little")
+    # the lanes of marked starts, each a marks slice over its piece
+    lanes = bytearray(count * size)
+    lanes[::size] = b"".join(starts[a:end] for a, end in runs)[:count]
+    wanted = int.from_bytes(lanes, "little")
     full = ones * ((1 << length) - 1)
     top = ones << (length - 1)
     pv, mv = full, 0
@@ -269,13 +263,6 @@ def fuzzy_contains(article_text: str, candidate: str, threshold: float) -> Match
                                       threshold)
 
 
-def _prepare_candidate(kind: str, value: str) -> str:
-    # Markdown conversion tends to glue trailing slashes/punctuation onto URLs.
-    if kind == "url":
-        return value.rstrip("/.,;:!?)]}>\"'") or value
-    return value
-
-
 def _ground(
     article: Article,
     record: ExtractionRecord,
@@ -293,10 +280,14 @@ def _ground(
         threshold = thresholds.for_kind(kind)
         results = grounded[name] = []
         for value in values:
+            # Markdown conversion tends to glue trailing slashes/punctuation
+            # onto URLs.
+            candidate = (value.rstrip("/.,;:!?)]}>\"'") or value
+                         if kind == "url" else value)
             # An unmatched reward result carries only a lower bound on the
             # score, so exact_score is part of the key: filter_gold is never
             # served one.
-            key = (_prepare_candidate(kind, value), threshold, exact_score)
+            key = (candidate, threshold, exact_score)
             result = memo.get(key)
             if result is None:
                 result = memo[key] = _fuzzy_contains_normalized(

@@ -18,6 +18,7 @@ from .extraction import (
     ParseOutcome,
     RawCompletion,
     SCORED_FIELDS,
+    field_kind,
     format_reward,
     parse_extraction,
 )
@@ -121,7 +122,7 @@ def field_score(name: str, record: ExtractionRecord, want: ExtractionRecord,
     if name in BOOLEAN_FIELDS:
         return 1.0 if getattr(record, name) == getattr(want, name) else 0.0
     return field_f1(match_sets(getattr(record, name), getattr(want, name),
-                               thresholds.for_field(name)))
+                               thresholds.for_kind(field_kind(name))))
 
 
 def accuracy_reward(

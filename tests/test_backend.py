@@ -630,3 +630,81 @@ class TestWorkerThreads:
         assert len(backend.errors) == 3
         assert len(started) == 1
         assert not any(thread.is_alive() for thread in started)
+
+
+class TestUnwaitableDelays:
+    """A retry delay that threading cannot wait, and any other failure of a
+    worker thread, fails complete_all; it never returns an unfilled batch."""
+
+    @staticmethod
+    def stalling(fail):
+        """A backend whose attempts at article 'a1' raise fail()."""
+        class Stalling:
+            def complete(self, prompt, n):
+                if prompt.article_id == "a1":
+                    raise fail()
+                return [RawCompletion(prompt.article_id, i, "t")
+                        for i in range(n)]
+
+        return Stalling()
+
+    @pytest.mark.parametrize("retry_after, backoff_base, delay", [
+        (1e12, 0.5, "1000000000000.0"),
+        (None, 1e300, "1e+300"),
+    ])
+    def test_delay_beyond_timeout_max_is_fatal(self, started, retry_after,
+                                               backoff_base, delay):
+        backend = self.stalling(
+            lambda: RetryableError("HTTP 429", retry_after=retry_after))
+        config = PipelineConfig(max_in_flight=2, backoff_base=backoff_base)
+        with pytest.raises(BackendError) as err:
+            complete_all(backend, [prompt_for(f"a{i}") for i in range(4)], 2,
+                         config)
+        assert str(err.value) == f"cannot wait {delay} s to retry 'a1'"
+        assert isinstance(err.value.__cause__, RetryableError)
+        assert len(started) == 2
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_backoff_beyond_a_float_is_fatal(self, started):
+        # 1,024 retries the server asked to make at once, then a 503 with no
+        # Retry-After: 1.0 * 2**1024 is past the largest float
+        class Failing:
+            attempts = 0
+
+            def complete(self, prompt, n):
+                self.attempts += 1
+                raise RetryableError("HTTP 503", retry_after=(
+                    0.0 if self.attempts <= 1024 else None))
+
+        backend = Failing()
+        config = PipelineConfig(max_attempts=2000, backoff_base=1.0)
+        with pytest.raises(BackendError, match=r"^cannot wait inf s to retry "
+                                               r"'A'$"):
+            complete_all(backend, [prompt_for("A")], 1, config)
+        assert backend.attempts == 1025
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_zero_backoff_stays_zero_after_1024_attempts(self, started):
+        class Flaky:
+            attempts = 0
+
+            def complete(self, prompt, n):
+                self.attempts += 1
+                if self.attempts <= 1100:
+                    raise RetryableError("HTTP 503")
+                return [RawCompletion(prompt.article_id, 0, "t")]
+
+        backend = Flaky()
+        config = PipelineConfig(max_attempts=2000, backoff_base=0.0)
+        out = complete_all(backend, [prompt_for("A")], 1, config)
+        assert [[c.article_id for c in batch] for batch in out] == [["A"]]
+        assert backend.attempts == 1101
+
+    def test_a_failing_scheduler_is_fatal(self, started):
+        # a retry_after that is not a number breaks the delay arithmetic
+        backend = self.stalling(
+            lambda: RetryableError("HTTP 429", retry_after="soon"))
+        with pytest.raises(TypeError):
+            complete_all(backend, [prompt_for(f"a{i}") for i in range(4)], 2,
+                         PipelineConfig(max_in_flight=2))
+        assert not any(thread.is_alive() for thread in started)

@@ -132,3 +132,30 @@ def test_range_checked_when_loaded(tmp_path, key, bad, boundary):
         load_config(path, env={})
     path.write_text(json.dumps({key: boundary}))
     assert getattr(load_config(path, env={}), key) == boundary
+
+
+@pytest.mark.parametrize("key, text", [
+    ("backoff_base", '{"backoff_base": Infinity}'),
+    ("timeout", '{"timeout": 1e400}'),
+    ("timeout", '{"timeout": Infinity}'),
+    ("backoff_base", '{"backoff_base": 1e400}'),
+])
+def test_non_finite_file_value_rejected(tmp_path, key, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        load_config(path, env={})
+
+
+@pytest.mark.parametrize("name", ["OSIR_TIMEOUT", "OSIR_BACKOFF_BASE"])
+def test_non_finite_env_value_rejected(name):
+    key = name[len("OSIR_"):].lower()
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        load_config(env={name: "inf"})
+
+
+def test_seed_is_not_a_setting(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 0}))
+    with pytest.raises(ConfigError, match="unknown key 'seed'"):
+        load_config(path, env={})

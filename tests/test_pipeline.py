@@ -206,6 +206,26 @@ class TestRunPipeline:
         completions = (tmp_path / "out" / "completions.jsonl").read_text()
         assert len(completions.splitlines()) == 12 * 3
 
+    def test_unwaitable_retry_fails_the_complete_stage(self, tmp_path,
+                                                       monkeypatch):
+        # a Retry-After beyond threading.TIMEOUT_MAX cannot be waited, so the
+        # run fails rather than writing art-001 an unresolved verdict
+        class Backend:
+            def complete(self, prompt, n):
+                if prompt.article_id == "art-001":
+                    raise RetryableError("HTTP 429", retry_after=1e12)
+                return [RawCompletion(prompt.article_id, i, "no payload")
+                        for i in range(n)]
+
+        paths = build_replay_bundle(tmp_path, n_articles=4)
+        monkeypatch.setattr(osir.pipeline, "make_backend",
+                            lambda config: Backend())
+        config = replay_config(paths["fixture"], max_in_flight=2)
+        with pytest.raises(PipelineError, match="retry 'art-001'") as err:
+            run_pipeline(paths["corpus"], tmp_path / "out", config)
+        assert err.value.stage == "complete"
+        assert not (tmp_path / "out" / "verdicts.jsonl").exists()
+
     def test_verdicts_reflect_majority(self, tmp_path):
         paths = build_replay_bundle(tmp_path, n_articles=4)
         out = tmp_path / "out"
@@ -285,7 +305,7 @@ class TestSharedStages:
         # The digest in manifest.json; it must not move when the payload
         # derivation changes.
         assert config_digest(PipelineConfig()) == \
-            "227de776d4e2788a50aaed32af628fbc4eb611c973e0300d1f14f46be0dce470"
+            "de133892c7ac89e5746e17fd4c1f5ed487584d753acbff1cc387b4475d1a97c6"
 
 
 class TestMemory:
