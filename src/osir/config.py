@@ -99,7 +99,10 @@ def _coerce(key: str, value) -> object:
                 value = json.loads(value)
             if not isinstance(value, dict):
                 raise ValueError("expected an object")
+            json.dumps(value, allow_nan=False)  # a request body cannot hold NaN
             return value
+        if value is None and kind == "str":
+            raise ValueError("expected a string")
         return None if value is None else str(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc

@@ -146,34 +146,20 @@ _CUT_CHUNK = 8 * 1024
 
 
 def count_tokens(text: str) -> int:
-    """The number of maximal non-whitespace runs in *text*.
-
-    An ASCII text's runs are counted on its bytes mapped to b" " and b"x",
-    with no list of tokens built; any other text is split.
-    """
-    if not text.isascii():
-        return len(text.split())
-    marks = text.encode("ascii").translate(_TOKEN_BYTES)
-    return _starts(marks, 0, len(marks))
-
-
-def _starts(marks: bytes, lo: int, hi: int) -> int:
-    """The number of tokens whose first byte is in marks[lo:hi]."""
-    if lo == 0:
-        return marks.count(b" x", 0, hi) + marks.startswith(b"x")
-    return marks.count(b" x", lo - 1, hi)
+    """The number of maximal non-whitespace runs in *text*: _measure's
+    count, with a budget no text of len(text) characters can exceed. An
+    ASCII text's count is that of b" x" pairs in its leading-space marks."""
+    return _measure(text, len(text) + MARKER_TOKENS + 2)[0]
 
 
 def _token_start(marks: bytes, totals: list[int], k: int) -> int:
-    """The index in *marks* of the k-th token's first byte (k from 1).
-    totals[i] is the number of tokens that start before chunk i."""
+    """The text offset of the k-th token's first character (k from 1).
+    marks are the leading-space marks of _measure, and totals[i] is the
+    number of tokens that start before chunk i."""
     chunk = bisect_left(totals, k) - 1  # totals[chunk] < k <= totals[chunk+1]
-    left = k - totals[chunk]
-    at = max(chunk * _CUT_CHUNK - 1, 0)
-    if chunk == 0 and marks.startswith(b"x"):
-        left -= 1
-    for _ in range(left):
-        at = marks.find(b" x", at) + 1
+    at = chunk * _CUT_CHUNK - 1
+    for _ in range(k - totals[chunk]):
+        at = marks.find(b" x", at + 1)
     return at
 
 
@@ -182,10 +168,12 @@ def _measure(text: str, budget: int) -> tuple[int, tuple[int, int] | None]:
     else the offsets len(text) - len(text.split(None, head)[-1]) and
     len(text.rsplit(None, tail)[0]) of truncate_middle's head and tail.
 
-    An ASCII text's cuts are found on the bytes it is counted on: the token
-    starts of each _CUT_CHUNK bytes are counted, bisect picks the chunk of
-    a cut's token, and find steps to it within that chunk. Any other text is
-    split.
+    An ASCII text is measured on its marks: the bytes of " " + text mapped
+    to b" " for a space and b"x" for any other byte, so that a token starts
+    at text offset t exactly where marks[t:t+2] == b" x", the first token
+    included. The token starts of each _CUT_CHUNK characters are counted,
+    bisect picks the chunk of a cut's token, and find steps to it within
+    that chunk; no list of tokens is built. Any other text is split.
     """
     if budget < MARKER_TOKENS + 2:
         raise ValueError(
@@ -200,16 +188,16 @@ def _measure(text: str, budget: int) -> tuple[int, tuple[int, int] | None]:
             return tokens, None
         return tokens, (len(text) - len(text.split(None, head)[-1]),
                         len(text.rsplit(None, tail)[0]))
-    marks = text.encode("ascii").translate(_TOKEN_BYTES)
+    marks = (" " + text).encode("ascii").translate(_TOKEN_BYTES)
     totals = [0]
-    for lo in range(0, len(marks), _CUT_CHUNK):
-        totals.append(totals[-1] + _starts(marks, lo, lo + _CUT_CHUNK))
+    for lo in range(0, len(text), _CUT_CHUNK):
+        totals.append(totals[-1] + marks.count(b" x", lo, lo + _CUT_CHUNK + 1))
     tokens = totals[-1]
     if tokens <= budget:
         return tokens, None
     suffix = _token_start(marks, totals, tokens - tail + 1)
     return tokens, (_token_start(marks, totals, head + 1),
-                    marks.rfind(b"x", 0, suffix) + 1)
+                    marks.rfind(b"x", 0, suffix + 1))
 
 
 def _cut(text: str, cuts: tuple[int, int]) -> str:

@@ -14,8 +14,7 @@ from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 from typing import Iterable
 
-from .jsonl import (field_dict, field_names, iter_jsonl, lone_surrogate,
-                    write_jsonl)
+from .jsonl import field_dict, iter_jsonl, lone_surrogate, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -166,12 +165,9 @@ def format_reward(outcome: ParseOutcome) -> int:
 
 
 def record_to_payload(record: ExtractionRecord) -> dict:
-    """Record as a plain dict with the wire field names."""
-    payload: dict = {}
-    for name in field_names(type(record)):
-        value = getattr(record, name)
-        payload[name] = list(value) if isinstance(value, tuple) else value
-    return payload
+    """Record as a plain dict with the wire field names. Its lists are
+    tuples, which JSON writes as lists."""
+    return field_dict(record)
 
 
 def serialize_record(record: ExtractionRecord) -> str:

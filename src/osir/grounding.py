@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 from .corpus import Article
 from .extraction import ExtractionRecord, GoldAnnotation, field_kind
+from .identifiers import strip_trailing_punct
 from .text import char_masks, normalize_text, similarity
 
 
@@ -282,7 +283,7 @@ def _ground(
         for value in values:
             # Markdown conversion tends to glue trailing slashes/punctuation
             # onto URLs.
-            candidate = (value.rstrip("/.,;:!?)]}>\"'") or value
+            candidate = (strip_trailing_punct(value, extra="/") or value
                          if kind == "url" else value)
             # An unmatched reward result carries only a lower bound on the
             # score, so exact_score is part of the key: filter_gold is never

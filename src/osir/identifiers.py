@@ -18,7 +18,7 @@ _DOI_PREFIXES = ("https://doi.org/", "http://doi.org/", "doi.org/", "doi:")
 _WS = re.compile(r"\s+")
 
 
-def _strip_trailing_punct(s: str, extra: str = "") -> str:
+def strip_trailing_punct(s: str, extra: str = "") -> str:
     return s.rstrip(_TRAILING_PUNCT + extra)
 
 
@@ -45,10 +45,10 @@ def canonicalize_identifier(kind: str, raw: str) -> str:
             if s.startswith(prefix):
                 s = s[len(prefix):].lstrip()
                 break
-        return _strip_trailing_punct(s)
+        return strip_trailing_punct(s)
 
     if kind == "url":
-        s = _strip_trailing_punct(s, extra="/")
+        s = strip_trailing_punct(s, extra="/")
         scheme, sep, rest = s.partition("://")
         if sep:
             host, slash, path = rest.partition("/")

@@ -29,10 +29,8 @@ def iter_jsonl(path: str | Path, error_cls: type[Exception],
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                raise error_cls(f"line {line_no}: not UTF-8 text") from None
+            if lone_surrogate(line) is not None:
+                raise error_cls(f"line {line_no}: not UTF-8 text")
             try:
                 payload = json.loads(line)
             except (ValueError, RecursionError) as exc:  # ValueError: also

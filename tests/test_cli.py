@@ -310,19 +310,32 @@ class TestRun:
             groups = [row["group"] for row in csv.DictReader(fh)]
         assert "Total" in groups and len(groups) > 1
 
+    # The HTTP cases name a local endpoint that no request may reach.
+    @pytest.mark.parametrize("setting, message", [
+        pytest.param({"group_by": "country"}, "group_by must be one of",
+                     id="group_by"),
+        pytest.param({"backend_mode": "http", "endpoint": "http://127.0.0.1:9/",
+                      "auth_token_env": None},
+                     "bad value for auth_token_env", id="auth_token_env"),
+        pytest.param({"backend_mode": "http", "endpoint": "http://127.0.0.1:9/",
+                      "decode_params": {"temperature": float("nan")}},
+                     "bad value for decode_params", id="decode_params"),
+    ])
     def test_bad_config_value_fails_before_any_stage(self, runner, bundle,
-                                                     tmp_path):
+                                                     tmp_path, setting,
+                                                     message):
         config_path = tmp_path / "osir.json"
         config_path.write_text(json.dumps({
-            "fixture_path": str(bundle["fixture"]), "group_by": "country"}))
+            "fixture_path": str(bundle["fixture"]), **setting}))
         out_dir = tmp_path / "run"
         result = runner.invoke(main, [
             "run", "--corpus", str(bundle["corpus"]),
             "--out", str(out_dir), "--config", str(config_path),
         ])
         assert result.exit_code != 0
-        assert "group_by must be one of" in result.output
+        assert message in result.output
         assert not (out_dir / "completions.jsonl").exists()
+        assert not (out_dir / "prompts.jsonl").exists()
 
     def test_bad_env_value_fails_when_no_sample_parses(self, runner, bundle,
                                                        tmp_path):

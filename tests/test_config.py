@@ -95,6 +95,9 @@ def test_every_allowed_value_loads(key):
     ("backend_mode", "grpc"),
     *((key, 0) for key in AT_LEAST_ONE),
     ("max_attempts", -1),
+    ("auth_token_env", None),
+    pytest.param("decode_params", {"temperature": float("nan")},
+                 id="decode_params-nan"),
 ])
 def test_bad_file_value_fails_when_loaded(tmp_path, key, value):
     path = tmp_path / "config.json"
@@ -147,11 +150,17 @@ def test_non_finite_file_value_rejected(tmp_path, key, text):
         load_config(path, env={})
 
 
-@pytest.mark.parametrize("name", ["OSIR_TIMEOUT", "OSIR_BACKOFF_BASE"])
-def test_non_finite_env_value_rejected(name):
-    key = name[len("OSIR_"):].lower()
-    with pytest.raises(ConfigError, match=f"{key} must be finite"):
-        load_config(env={name: "inf"})
+@pytest.mark.parametrize("name, value, message", [
+    pytest.param("OSIR_TIMEOUT", "inf", "timeout must be finite",
+                 id="OSIR_TIMEOUT"),
+    pytest.param("OSIR_BACKOFF_BASE", "inf", "backoff_base must be finite",
+                 id="OSIR_BACKOFF_BASE"),
+    pytest.param("OSIR_DECODE_PARAMS", '{"temperature": Infinity}',
+                 "bad value for decode_params", id="OSIR_DECODE_PARAMS"),
+])
+def test_non_finite_env_value_rejected(name, value, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(env={name: value})
 
 
 def test_seed_is_not_a_setting(tmp_path):
