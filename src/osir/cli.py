@@ -1,26 +1,24 @@
 """Command-line interface: every pipeline stage as a subcommand.
 
-Each subcommand parses its options, calls the stage functions of
-osir.pipeline and reports any failure as a ClickException. Options named
-after a PipelineConfig field are passed on to load_config. Configuration
-precedence: defaults < --config file < OSIR_* environment variables <
-explicit flags.
+Each subcommand parses its options and calls the stage functions of
+osir.pipeline; the main group reports any failure of a command as a
+ClickException. Each option named after a PipelineConfig field is built by
+_setting, which types it from that field, and is passed on to load_config.
+Configuration precedence: defaults < --config file < OSIR_* environment
+variables < explicit flags.
 """
 
 from __future__ import annotations
 
 import csv
 from collections import Counter
-from contextlib import contextmanager
 from pathlib import Path
 
 import click
 
-from .backend import BACKEND_MODES
-from .config import load_config
+from .config import CHOICES, FIELD_TYPES, load_config
 from .corpus import load_corpus
 from .evaluation import (
-    PASS1_MODES,
     build_sample_sets,
     build_eval_report,
     flag_disagreements,
@@ -36,13 +34,11 @@ from .extraction import (
     save_completions,
     save_gold,
 )
-from .grounding import EMBELLISHMENT_MODES, filter_gold
-from .indicators import GROUPINGS
+from .grounding import filter_gold
 from .jsonl import write_jsonl
 from .pipeline import (
     aggregate_stage,
     complete_stage,
-    manifest_to_payload,
     parse_stage,
     prompt_stage,
     run_pipeline,
@@ -52,18 +48,30 @@ from .pipeline import (
 )
 
 
-@contextmanager
-def _user_errors():
-    """Report any failure inside the block as a ClickException."""
-    try:
-        yield
-    except click.ClickException:
-        raise
-    except Exception as exc:
-        raise click.ClickException(str(exc)) from exc
+class _Group(click.Group):
+    """A command group that reports any failure of a command as a
+    ClickException. Click's own exits (--help, Ctrl-C) pass through."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
+            raise click.ClickException(str(exc)) from exc
 
 
-@click.group()
+def _setting(flag: str, field: str, help: str | None = None):
+    """An option that sets the PipelineConfig *field*, typed by that field."""
+    kind = {"int": int, "float": float}.get(FIELD_TYPES[field], str)
+    if field in CHOICES:
+        kind = click.Choice(CHOICES[field])
+    elif field.endswith("_path"):
+        kind = click.Path()
+    return click.option(flag, field, type=kind, default=None, help=help)
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Measure research-data generation and reuse across an article corpus."""
 
@@ -76,8 +84,7 @@ def ingest(corpus_path: str) -> None:
 
     Exits non-zero on the first malformed article, naming its line.
     """
-    with _user_errors():
-        articles = load_corpus(corpus_path)
+    articles = load_corpus(corpus_path)
     by_discipline = Counter(a.discipline for a in articles)
     click.echo(f"{len(articles)} articles")
     for discipline, count in sorted(by_discipline.items()):
@@ -87,15 +94,11 @@ def ingest(corpus_path: str) -> None:
 
 @main.command()
 @click.option("--corpus", "corpus_path", required=True, type=click.Path())
-@click.option("--backend", "backend_mode", type=click.Choice(BACKEND_MODES),
-              default=None, help="Completion backend.")
-@click.option("--fixture", "fixture_path", type=click.Path(), default=None,
-              help="Replay fixture file (replay mode).")
-@click.option("--endpoint", default=None, help="Completion endpoint (http mode).")
-@click.option("--samples", "samples_per_article", type=int, default=None,
-              help="Samples per article.")
-@click.option("--budget", "token_budget", type=int, default=None,
-              help="Prompt token budget.")
+@_setting("--backend", "backend_mode", help="Completion backend.")
+@_setting("--fixture", "fixture_path", help="Replay fixture file (replay mode).")
+@_setting("--endpoint", "endpoint", help="Completion endpoint (http mode).")
+@_setting("--samples", "samples_per_article", help="Samples per article.")
+@_setting("--budget", "token_budget", help="Prompt token budget.")
 @click.option("--out", "out_path", required=True, type=click.Path(),
               help="Where to write completions (JSONL).")
 @click.option("--records", "records_path", type=click.Path(), default=None,
@@ -104,13 +107,12 @@ def ingest(corpus_path: str) -> None:
 def extract(corpus_path: str, out_path: str, records_path: str | None,
             config_path: str | None, **overrides) -> None:
     """Prompt the backend for every article and store raw completions."""
-    with _user_errors():
-        config = load_config(config_path, **overrides)
-        prompts = prompt_stage(load_corpus(corpus_path), config)
-        completions = complete_stage(prompts, config)
-        save_completions(completions, out_path)
-        if records_path is not None:
-            save_parsed(parse_stage(completions), records_path)
+    config = load_config(config_path, **overrides)
+    prompts = prompt_stage(load_corpus(corpus_path), config)
+    completions = complete_stage(prompts, config)
+    save_completions(completions, out_path)
+    if records_path is not None:
+        save_parsed(parse_stage(completions), records_path)
     click.echo(f"{len(completions)} completions -> {out_path}")
 
 
@@ -120,8 +122,7 @@ def extract(corpus_path: str, out_path: str, records_path: str | None,
               type=click.Path())
 @click.option("--gold", "gold_path", required=True, type=click.Path())
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--embellishment", "embellishment_mode",
-              type=click.Choice(EMBELLISHMENT_MODES), default=None)
+@_setting("--embellishment", "embellishment_mode")
 @click.option("--min-reward", type=float, default=None,
               help="Write only the rows whose reward r is >= this value.")
 @click.option("--config", "config_path", type=click.Path(), default=None)
@@ -129,16 +130,15 @@ def score(corpus_path: str, completions_path: str, gold_path: str,
           out_path: str, min_reward: float | None,
           config_path: str | None, **overrides) -> None:
     """Score completions against gold: f, e, v and the composite reward."""
-    with _user_errors():
-        config = load_config(config_path, **overrides)
-        articles = {a.id: a for a in load_corpus(corpus_path)}
-        completions = sorted(load_completions(completions_path),
-                             key=lambda c: (c.article_id, c.sample_index))
-        gold = {g.article_id: g for g in load_gold(gold_path)}
-        rows = score_stage(parse_stage(completions), articles, gold, config)
-        if min_reward is not None:
-            rows = [row for row in rows if row["r"] >= min_reward]
-        write_jsonl(out_path, rows)
+    config = load_config(config_path, **overrides)
+    articles = {a.id: a for a in load_corpus(corpus_path)}
+    completions = sorted(load_completions(completions_path),
+                         key=lambda c: (c.article_id, c.sample_index))
+    gold = {g.article_id: g for g in load_gold(gold_path)}
+    rows = score_stage(parse_stage(completions), articles, gold, config)
+    if min_reward is not None:
+        rows = [row for row in rows if row["r"] >= min_reward]
+    write_jsonl(out_path, rows)
     click.echo(f"{len(rows)} reward rows -> {out_path}")
 
 
@@ -146,30 +146,27 @@ def score(corpus_path: str, completions_path: str, gold_path: str,
 @click.option("--completions", "completions_path", required=True,
               type=click.Path())
 @click.option("--gold", "gold_path", required=True, type=click.Path())
-@click.option("--samples", "samples_per_article", type=int, default=None,
-              help="Expected samples per article.")
-@click.option("--pass1", "pass1_mode", type=click.Choice(PASS1_MODES),
-              default=None)
-@click.option("--flag-floor", "f1_floor", type=float, default=None,
-              help="Best-sample F1 floor below which articles get flagged.")
+@_setting("--samples", "samples_per_article",
+          help="Expected samples per article.")
+@_setting("--pass1", "pass1_mode")
+@_setting("--flag-floor", "f1_floor",
+          help="Best-sample F1 floor below which articles get flagged.")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--config", "config_path", type=click.Path(), default=None)
 def eval_command(completions_path: str, gold_path: str, out_path: str,
                  config_path: str | None, **overrides) -> None:
     """Evaluate completions against gold and print the metrics table."""
-    with _user_errors():
-        config = load_config(config_path, **overrides)
-        completions = load_completions(completions_path)
-        gold = load_gold(gold_path)
-        samples = build_sample_sets(completions,
-                                    overrides["samples_per_article"])
-        thresholds = config.thresholds()
-        scores = score_samples(samples, gold, thresholds)
-        report = build_eval_report(samples, gold, config.pass1_mode,
-                                   thresholds, scores)
-        flagged = flag_disagreements(samples, gold, config.f1_floor,
-                                     thresholds, scores)
-        save_report(report, out_path)
+    config = load_config(config_path, **overrides)
+    completions = load_completions(completions_path)
+    gold = load_gold(gold_path)
+    samples = build_sample_sets(completions, overrides["samples_per_article"])
+    thresholds = config.thresholds()
+    scores = score_samples(samples, gold, thresholds)
+    report = build_eval_report(samples, gold, config.pass1_mode,
+                               thresholds, scores)
+    flagged = flag_disagreements(samples, gold, config.f1_floor,
+                                 thresholds, scores)
+    save_report(report, out_path)
     click.echo(render_report_table(report))
     click.echo(f"\n{len(flagged)} articles flagged for review")
     for f in flagged:
@@ -186,20 +183,19 @@ def eval_command(completions_path: str, gold_path: str, out_path: str,
 def filter_gold_command(corpus_path: str, gold_path: str, kept_path: str,
                         removed_path: str, config_path: str | None) -> None:
     """Drop gold annotations whose evidence is absent from the article text."""
-    with _user_errors():
-        config = load_config(config_path)
-        corpus = load_corpus(corpus_path)
-        annotations = load_gold(gold_path)
-        kept, removed = filter_gold(corpus, annotations, config.thresholds())
-        save_gold(kept, kept_path)
-        with Path(removed_path).open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["article_id", "field", "string", "best_score", "threshold"])
-            for r in removed:
-                for d in r.diagnostics:
-                    writer.writerow([d.article_id, d.field, d.string,
-                                     f"{d.best_score:.6f}", d.threshold])
+    config = load_config(config_path)
+    corpus = load_corpus(corpus_path)
+    annotations = load_gold(gold_path)
+    kept, removed = filter_gold(corpus, annotations, config.thresholds())
+    save_gold(kept, kept_path)
+    with Path(removed_path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(
+            ["article_id", "field", "string", "best_score", "threshold"])
+        for r in removed:
+            for d in r.diagnostics:
+                writer.writerow([d.article_id, d.field, d.string,
+                                 f"{d.best_score:.6f}", d.threshold])
     click.echo(f"kept {len(kept)} -> {kept_path}")
     click.echo(f"removed {len(removed)} -> {removed_path}")
 
@@ -207,8 +203,7 @@ def filter_gold_command(corpus_path: str, gold_path: str, kept_path: str,
 @main.command()
 @click.option("--records", "records_path", required=True, type=click.Path())
 @click.option("--corpus", "corpus_path", required=True, type=click.Path())
-@click.option("--by", "group_by",
-              type=click.Choice(GROUPINGS), default=None)
+@_setting("--by", "group_by")
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--config", "config_path", type=click.Path(), default=None)
 def aggregate(records_path: str, corpus_path: str, out_dir: str,
@@ -218,17 +213,16 @@ def aggregate(records_path: str, corpus_path: str, out_dir: str,
     Corpus articles with no parsed record at all become unresolved verdicts
     (counted under "neither").
     """
-    with _user_errors():
-        config = load_config(config_path, **overrides)
-        articles = {a.id: a for a in load_corpus(corpus_path)}
-        parsed = [(article_id, sample_index,
-                   ParseOutcome(status="parsed", record=record))
-                  for article_id, sample_index, record
-                  in load_records(records_path)]
-        verdicts = verdict_stage(parsed, articles)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        rows = aggregate_stage(verdicts, articles, config, out)
+    config = load_config(config_path, **overrides)
+    articles = {a.id: a for a in load_corpus(corpus_path)}
+    parsed = [(article_id, sample_index,
+               ParseOutcome(status="parsed", record=record))
+              for article_id, sample_index, record
+              in load_records(records_path)]
+    verdicts = verdict_stage(parsed, articles)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rows = aggregate_stage(verdicts, articles, config, out)
     for row in rows:
         click.echo(f"{row.group}: {row.publications} publications, "
                    f"{row.generated_pct}% generated, {row.reused_pct}% reused, "
@@ -240,26 +234,21 @@ def aggregate(records_path: str, corpus_path: str, out_dir: str,
 @click.option("--corpus", "corpus_path", required=True, type=click.Path())
 @click.option("--gold", "gold_path", type=click.Path(), default=None)
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--backend", "backend_mode", type=click.Choice(BACKEND_MODES),
-              default=None)
-@click.option("--fixture", "fixture_path", type=click.Path(), default=None)
-@click.option("--endpoint", default=None)
-@click.option("--samples", "samples_per_article", type=int, default=None)
-@click.option("--by", "group_by",
-              type=click.Choice(GROUPINGS), default=None)
+@_setting("--backend", "backend_mode")
+@_setting("--fixture", "fixture_path")
+@_setting("--endpoint", "endpoint")
+@_setting("--samples", "samples_per_article")
+@_setting("--by", "group_by")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 def run(corpus_path: str, gold_path: str | None, out_dir: str,
         config_path: str | None, **overrides) -> None:
     """Run the full pipeline and write a digest manifest."""
-    with _user_errors():
-        config = load_config(config_path, **overrides)
-        manifest = run_pipeline(corpus_path, out_dir, config, gold_path)
-    payload = manifest_to_payload(manifest)
-    click.echo(f"{len(payload['stages'])} stages -> {out_dir}")
-    for stage in payload["stages"]:
-        for output in stage["outputs"]:
-            click.echo(f"  {stage['name']}: {output['path']} "
-                       f"sha256:{output['sha256'][:12]}")
+    config = load_config(config_path, **overrides)
+    manifest = run_pipeline(corpus_path, out_dir, config, gold_path)
+    click.echo(f"{len(manifest.stages)} stages -> {out_dir}")
+    for stage in manifest.stages:
+        for path, digest in zip(stage.paths, stage.digests):
+            click.echo(f"  {stage.name}: {path} sha256:{digest[:12]}")
 
 
 if __name__ == "__main__":

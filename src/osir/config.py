@@ -84,27 +84,26 @@ class PipelineConfig:
 
 
 #: Field name -> annotated type name ("int", "float", "str | None", ...).
-_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+#: Annotated type name -> the types a file or flag value of it may have.
+_VALUE_TYPES = {"int": int, "float": (int, float), "dict": dict, "str": str,
+                "str | None": (str, type(None))}
 
 
-def _coerce(key: str, value) -> object:
-    kind = _FIELD_TYPES[key]
+def _coerce(key: str, value, text: bool = False) -> object:
+    """*value* as field *key*'s type. Only environment *text* is parsed; a
+    file or flag value must already have the field's JSON type."""
+    kind = FIELD_TYPES[key]
     try:
-        if kind == "int":
-            return int(value)
-        if kind == "float":
-            return float(value)
+        if text:
+            value = {"int": int, "float": float, "dict": json.loads}.get(
+                kind, str)(value)
+        if isinstance(value, bool) or not isinstance(value, _VALUE_TYPES[kind]):
+            raise TypeError(f"expected {kind}")
         if kind == "dict":
-            if isinstance(value, str):
-                value = json.loads(value)
-            if not isinstance(value, dict):
-                raise ValueError("expected an object")
             json.dumps(value, allow_nan=False)  # a request body cannot hold NaN
-            return value
-        if value is None and kind == "str":
-            raise ValueError("expected a string")
-        return None if value is None else str(value)
-    except (TypeError, ValueError) as exc:
+        return float(value) if kind == "float" else value
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
 
 
@@ -129,18 +128,18 @@ def load_config(path: str | Path | None = None,
         if not isinstance(payload, dict):
             raise ConfigError(f"config file {p}: expected a JSON object")
         for key, value in payload.items():
-            if key not in _FIELD_TYPES:
+            if key not in FIELD_TYPES:
                 raise ConfigError(f"config file {p}: unknown key {key!r}")
             values[key] = _coerce(key, value)
 
     env_map = os.environ if env is None else env
-    for key in _FIELD_TYPES:
+    for key in FIELD_TYPES:
         env_name = ENV_PREFIX + key.upper()
         if env_name in env_map:
-            values[key] = _coerce(key, env_map[env_name])
+            values[key] = _coerce(key, env_map[env_name], text=True)
 
     for key, value in overrides.items():
-        if key not in _FIELD_TYPES:
+        if key not in FIELD_TYPES:
             raise ConfigError(f"unknown config override {key!r}")
         if value is not None:
             values[key] = _coerce(key, value)

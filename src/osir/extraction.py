@@ -164,14 +164,8 @@ def format_reward(outcome: ParseOutcome) -> int:
     return 1 if outcome.parsed else 0
 
 
-def record_to_payload(record: ExtractionRecord) -> dict:
-    """Record as a plain dict with the wire field names. Its lists are
-    tuples, which JSON writes as lists."""
-    return field_dict(record)
-
-
 def serialize_record(record: ExtractionRecord) -> str:
-    return json.dumps(record_to_payload(record), sort_keys=True, ensure_ascii=False)
+    return json.dumps(field_dict(record), sort_keys=True, ensure_ascii=False)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +246,7 @@ def save_records(
 ) -> None:
     """Write parsed records keyed by (article_id, sample_index)."""
     write_jsonl(path, ({"article_id": article_id, "sample_index": sample_index,
-                        **record_to_payload(record)}
+                        **field_dict(record)}
                        for article_id, sample_index, record in records))
 
 
@@ -281,5 +275,5 @@ def load_gold(path: str | Path) -> list[GoldAnnotation]:
 
 def save_gold(annotations: Iterable[GoldAnnotation], path: str | Path) -> None:
     write_jsonl(path, ({"article_id": ann.article_id,
-                        **record_to_payload(ann.record)}
+                        **field_dict(ann.record)}
                        for ann in annotations))

@@ -7,15 +7,12 @@ dataset is referenced as ``https://doi.org/10.x/Y``, ``doi:10.x/y``, or bare
 
 from __future__ import annotations
 
-import re
-
 from .text import normalize_text
 
 IDENTIFIER_KINDS = ("doi", "url", "accession", "citation")
 
 _TRAILING_PUNCT = ".,;:!?)]}>\"'"
 _DOI_PREFIXES = ("https://doi.org/", "http://doi.org/", "doi.org/", "doi:")
-_WS = re.compile(r"\s+")
 
 
 def strip_trailing_punct(s: str, extra: str = "") -> str:
@@ -58,6 +55,6 @@ def canonicalize_identifier(kind: str, raw: str) -> str:
 
     if kind == "accession":
         s = s.strip(_TRAILING_PUNCT + "([{<")
-        return _WS.sub(" ", s).strip().upper()
+        return " ".join(s.split()).upper()
 
     return normalize_text(s)

@@ -15,9 +15,9 @@ from osir.extraction import (
     GoldAnnotation,
     RawCompletion,
     parse_extraction,
-    record_to_payload,
     serialize_record,
 )
+from osir.jsonl import field_dict
 
 
 def make_record(**overrides) -> ExtractionRecord:
@@ -70,7 +70,7 @@ def corpus_row(article: Article) -> dict:
 
 def gold_row(annotation: GoldAnnotation) -> dict:
     row = {"article_id": annotation.article_id}
-    row.update(record_to_payload(annotation.record))
+    row.update(field_dict(annotation.record))
     return row
 
 

@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from osir.cli import main
+from osir.config import PipelineConfig
 
 from conftest import (
     build_replay_bundle,
@@ -248,8 +250,8 @@ class TestAggregate:
                              new_data_accessions=("GSE1",))
         records_path = tmp_path / "r.jsonl"
         row = {"article_id": "R1", "sample_index": 0}
-        from osir.extraction import record_to_payload
-        row.update(record_to_payload(record))
+        from osir.jsonl import field_dict
+        row.update(field_dict(record))
         write_jsonl(records_path, [row])
         out_dir = tmp_path / "ind"
         result = runner.invoke(main, [
@@ -269,8 +271,8 @@ class TestAggregate:
         corpus_path = write_jsonl(tmp_path / "c.jsonl",
                                   [corpus_row(make_article("R1", "text"))])
         row = {"article_id": "R9", "sample_index": 0}
-        from osir.extraction import record_to_payload
-        row.update(record_to_payload(make_record()))
+        from osir.jsonl import field_dict
+        row.update(field_dict(make_record()))
         records_path = write_jsonl(tmp_path / "r.jsonl", [row])
         result = runner.invoke(main, [
             "aggregate", "--records", str(records_path),
@@ -427,3 +429,68 @@ class TestScoreAndEvalAgree:
             assert metrics[field]["pass_at_1"] == sum(scores) / len(scores)
             assert metrics[field]["pass_at_k"] == \
                 sum(best.values()) / len(best)
+
+
+class TestErrorBoundary:
+    """The main group reports any command's failure as a one-line error."""
+
+    # Every input path of a command names the same missing file.
+    INPUTS = {
+        "ingest": ["--corpus"],
+        "extract": ["--corpus", "--fixture"],
+        "score": ["--corpus", "--completions", "--gold"],
+        "eval": ["--completions", "--gold"],
+        "filter-gold": ["--corpus", "--gold"],
+        "aggregate": ["--records", "--corpus"],
+        "run": ["--corpus", "--fixture"],
+    }
+    OUTPUTS = {"ingest": [], "filter-gold": ["--out-kept", "--out-removed"]}
+
+    def test_every_command_is_covered(self):
+        assert sorted(self.INPUTS) == sorted(main.commands)
+
+    @pytest.mark.parametrize("command", sorted(INPUTS))
+    def test_missing_input_file(self, runner, tmp_path, command):
+        missing = tmp_path / "missing.jsonl"
+        args = [command]
+        for flag in self.INPUTS[command]:
+            args += [flag, str(missing)]
+        for flag in self.OUTPUTS.get(command, ["--out"]):
+            args += [flag, str(tmp_path / "out")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("Error: ")
+        assert result.output.rstrip().endswith(str(missing))
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command", sorted(INPUTS))
+    def test_help_exits_zero(self, runner, command):
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith(f"Usage: main {command} ")
+
+
+class TestConfigTable:
+    """README's configuration table matches PipelineConfig and the CLI."""
+
+    def _table(self) -> list[list[str]]:
+        readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+        lines = readme.split("\n| Key | Flag |", 1)[1].split("\n\n", 1)[0]
+        return [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+                for line in lines.splitlines()[2:]]
+
+    def test_keys_are_the_config_fields_in_order(self):
+        assert [row[0] for row in self._table()] == \
+            [f.name for f in fields(PipelineConfig)]
+
+    def test_flags_are_the_ones_the_cli_declares(self):
+        settings = {f.name for f in fields(PipelineConfig)}
+        declared: dict[str, set[str]] = {}
+        for command in main.commands.values():
+            for param in command.params:
+                if param.name in settings:
+                    declared.setdefault(param.name, set()).update(param.opts)
+        documented = {row[0]: {row[1]} - {""} for row in self._table()}
+        assert {key: declared.get(key, set()) for key in documented} == \
+            documented

@@ -11,6 +11,7 @@ from osir.config import (
     PipelineConfig,
     load_config,
 )
+from osir.pipeline import config_digest
 
 
 def test_defaults():
@@ -98,12 +99,28 @@ def test_every_allowed_value_loads(key):
     ("auth_token_env", None),
     pytest.param("decode_params", {"temperature": float("nan")},
                  id="decode_params-nan"),
+    # A file value must have the field's JSON type; a bool is no number.
+    pytest.param("auth_token_env", ["OSIR_TOKEN"], id="auth_token_env-list"),
+    pytest.param("fixture_path", {"a": 1}, id="fixture_path-object"),
+    ("token_budget", 2.9),
+    ("token_budget", True),
+    ("samples_per_article", "3"),
+    pytest.param("timeout", 10**400, id="timeout-int-beyond-float"),
 ])
 def test_bad_file_value_fails_when_loaded(tmp_path, key, value):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({key: value}))
     with pytest.raises(ConfigError, match=key):
         load_config(path, env={})
+
+
+def test_integer_float_value_keeps_the_config_digest(tmp_path):
+    path = tmp_path / "config.json"
+    digests = set()
+    for text in ('{"timeout": 60}', '{"timeout": 60.0}'):
+        path.write_text(text)
+        digests.add(config_digest(load_config(path, env={})))
+    assert len(digests) == 1
 
 
 def test_bad_env_choice_fails_when_loaded():

@@ -15,10 +15,10 @@ from osir.extraction import (
     load_gold,
     load_records,
     parse_extraction,
-    record_to_payload,
     save_gold,
     serialize_record,
 )
+from osir.jsonl import field_dict
 from osir.extraction import GoldAnnotation
 
 from conftest import completion_text, make_record, write_jsonl
@@ -42,21 +42,21 @@ class TestParseExtraction:
         assert outcome.failure_reason == "no structured payload found"
 
     def test_string_boolean_rejected(self):
-        payload = record_to_payload(make_record())
+        payload = field_dict(make_record())
         payload["new_data_generated"] = "yes"
         outcome = outcome_for(json.dumps(payload))
         assert not outcome.parsed
         assert "new_data_generated" in outcome.failure_reason
 
     def test_missing_list_field(self):
-        payload = record_to_payload(make_record())
+        payload = field_dict(make_record())
         del payload["reuse_data_urls"]
         outcome = outcome_for(json.dumps(payload))
         assert not outcome.parsed
         assert "reuse_data_urls" in outcome.failure_reason
 
     def test_non_string_list_element(self):
-        payload = record_to_payload(make_record())
+        payload = field_dict(make_record())
         payload["new_data_dois"] = ["10.1/x", 42]
         outcome = outcome_for(json.dumps(payload))
         assert not outcome.parsed
@@ -71,12 +71,12 @@ class TestParseExtraction:
         assert outcome.record == record
 
     def test_unknown_fields_ignored(self):
-        payload = record_to_payload(make_record())
+        payload = field_dict(make_record())
         payload["confidence"] = 0.9
         assert outcome_for(json.dumps(payload)).parsed
 
     def test_missing_descriptions_allowed(self):
-        payload = record_to_payload(make_record())
+        payload = field_dict(make_record())
         del payload["new_data_description"]
         del payload["reuse_data_description"]
         assert outcome_for(json.dumps(payload)).parsed
@@ -170,7 +170,7 @@ def _lines(tmp_path, *lines: str):
     line, so that an error must name line 2."""
     path = tmp_path / "input.jsonl"
     valid = json.dumps({"article_id": "A0", "sample_index": 0, "text": "ok",
-                        **record_to_payload(make_record())})
+                        **field_dict(make_record())})
     for line in lines:
         path.write_text(f"{valid}\n{line}\n", encoding="utf-8")
         yield path
@@ -211,7 +211,7 @@ class TestTotalLoaders:
     ])
     def test_record_key_types(self, tmp_path, fields):
         row = {"article_id": "A1", "sample_index": 0,
-               **record_to_payload(make_record()), **fields}
+               **field_dict(make_record()), **fields}
         for path in _lines(tmp_path, json.dumps(row)):
             with pytest.raises(CompletionsFileError, match="line 2"):
                 load_records(path)
