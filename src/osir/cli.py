@@ -11,6 +11,7 @@ variables < explicit flags.
 from __future__ import annotations
 
 import csv
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -130,6 +131,9 @@ def score(corpus_path: str, completions_path: str, gold_path: str,
           out_path: str, min_reward: float | None,
           config_path: str | None, **overrides) -> None:
     """Score completions against gold: f, e, v and the composite reward."""
+    if min_reward is not None and math.isnan(min_reward):
+        raise click.BadParameter("NaN compares false with every reward",
+                                 param_hint="'--min-reward'")
     config = load_config(config_path, **overrides)
     articles = {a.id: a for a in load_corpus(corpus_path)}
     completions = sorted(load_completions(completions_path),

@@ -123,8 +123,10 @@ def load_config(path: str | Path | None = None,
             raise ConfigError(f"config file not found: {p}")
         try:
             payload = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {p}: invalid JSON ({exc.msg})") from exc
+        except (ValueError, RecursionError) as exc:  # ValueError: also bytes
+            # that are not UTF-8 and an integer too long to convert
+            raise ConfigError(f"config file {p}: invalid JSON "
+                              f"({getattr(exc, 'msg', exc)})") from exc
         if not isinstance(payload, dict):
             raise ConfigError(f"config file {p}: expected a JSON object")
         for key, value in payload.items():

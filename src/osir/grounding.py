@@ -19,13 +19,14 @@ a Python int (the increased bit-parallelism of Hyyro, Fredriksson & Navarro).
 fuzzy_contains and filter_gold, which report an exact score for unmatched
 strings too, scan every start. The reward path needs only the decision, so
 it scans only the starts of windows that could reach the threshold t: such a
-window is within edit distance k = int((1 - t) * floor(1.2 L)) + 1 of the
-candidate, so by the pigeonhole rule (Baeza-Yates & Navarro) one of k + 1
-contiguous pieces of the candidate occurs verbatim in it, within k of the
-piece's own offset. str.find on the pieces marks those starts, and a match
-found among them is the full scan's (score, span). Where the rule cannot
-apply (k + 1 > L, or an article shorter than the smallest window), every
-start is scanned.
+window is within d = text.max_edits(t, floor(1.2 L)) edits of the
+candidate, so by the partition lemma (Baeza-Yates & Navarro) two of d + 2
+contiguous pieces of the candidate occur verbatim in it, each within d of
+the piece's own offset. str.find on the pieces gives each hit a range of
+starts, and a start is marked only where the ranges of two different pieces
+meet; a match found among the marked starts is the full scan's (score,
+span). Where the rule cannot apply (d + 2 > L, or an article shorter than
+the smallest window), every start is scanned.
 
 Each distinct (prepared string, threshold, exact_score) is grounded once per
 Article object: the results are kept in Article.grounding_memo, so the k
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from .corpus import Article
 from .extraction import ExtractionRecord, GoldAnnotation, field_kind
 from .identifiers import strip_trailing_punct
-from .text import char_masks, normalize_text, similarity
+from .text import char_masks, max_edits, normalize_text, similarity
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,8 @@ class MatchResult:
     A matched result carries the exact best window score and its span. An
     unmatched result from fuzzy_contains or filter_gold carries the exact
     best score; one from embellishment_reward, which needs only the decision,
-    carries a lower bound on it that is below the threshold.
+    carries a lower bound on it that is below the threshold: the best score
+    of the starts the two-vote filter marks, 0.0 where it marks none.
     """
 
     candidate: str
@@ -160,6 +162,10 @@ def _best_window(art: str, cand: str, starts: bytearray | None = None
     dist = ones * (length + (1 << bits))  # every flag set
     best_score, best_lane, best_len = -1.0, 0, 0
     for j in range(1, hi + 1):
+        # A window of j > length characters is at least j - length edits
+        # away, and a longer one scores no higher: none can beat best_score.
+        if j > length and 1.0 - (j - length) / j <= best_score:
+            break
         # Step j feeds text[s + j - 1] to lane s. Only a carry out of pv can
         # cross into the next lane, so only pv is masked; row 0 of the DP
         # grows by one in every lane through `| ones`.
@@ -207,32 +213,51 @@ def _best_window(art: str, cand: str, starts: bytearray | None = None
 
 def _pigeonhole_starts(art: str, cand: str, threshold: float
                        ) -> bytearray | None:
-    """Marks, for _best_window, of the starts whose windows can reach
-    *threshold*: every window scoring at least *threshold* starts at a
-    marked start. None when the filter does not apply.
+    """Marks, for _best_window, of the starts where hits of two different
+    pieces of *cand* agree: every window scoring at least *threshold* starts
+    at a marked start. None when the filter does not apply.
     """
     n, length = len(art), len(cand)
     lo, hi = _window_lengths(length)
     if n < lo or not 0 < threshold <= 1:  # the latter also rejects NaN
         return None
-    # A window of length j scoring >= threshold has distance
-    # <= (1 - threshold) * max(length, j) <= (1 - threshold) * hi; the + 1
-    # keeps float rounding of that product on the safe side.
-    k = int((1 - threshold) * hi) + 1
-    if k + 1 > length:
+    # A window scoring >= threshold is within max_edits(threshold,
+    # max(length, j)) <= d edits of cand, so two of its d + 2 pieces occur
+    # in it verbatim, each within d of the piece's own offset.
+    d = max_edits(threshold, hi)
+    pieces = d + 2
+    if pieces > length:
         return None
-    pieces = k + 1
-    marks = bytearray(n - lo + 1)
-    run = b"\x01" * (2 * k + 1)
+    count = n - lo + 1
+    events = []  # (start, +1) and (end, -1) of each piece's merged ranges
+    voters = 0  # pieces with a hit so far
     for p in range(pieces):
+        if voters + pieces - p < 2:  # no start can get a second vote
+            break
         offset = p * length // pieces
         piece = cand[offset:(p + 1) * length // pieces]
+        ranges = []
         q = art.find(piece)
         while q != -1:
-            a, b = max(0, q - offset - k), min(n - lo + 1, q - offset + k + 1)
-            if a < b:
-                marks[a:b] = run[:b - a]
+            a, b = max(0, q - offset - d), min(count, q - offset + d + 1)
+            if ranges and a <= ranges[-1][1]:
+                ranges[-1][1] = b
+            elif a < b:
+                ranges.append([a, b])
             q = art.find(piece, q + 1)
+        voters += bool(ranges)
+        for a, b in ranges:
+            events += ((a, 1), (b, -1))
+    # A start is marked where the ranges of two pieces cover it; ends sort
+    # before starts at one position, as the ranges are half-open.
+    marks = bytearray(count)
+    votes = 0
+    for x, step in sorted(events):
+        votes += step
+        if votes == 2 and step == 1:
+            start = x
+        elif votes == 1 and step == -1:
+            marks[start:x] = b"\x01" * (x - start)
     return marks
 
 

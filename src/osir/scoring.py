@@ -23,7 +23,7 @@ from .extraction import (
     parse_extraction,
 )
 from .grounding import DEFAULT_THRESHOLDS, Thresholds, embellishment_reward
-from .text import normalize_text, similarity
+from .text import max_edits, normalize_text, similarity
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,32 @@ class RewardBreakdown:
     sub_scores: dict[str, float]
 
 
+def _may_reach(a: str, b: str, threshold: float) -> bool:
+    """False only where similarity(a, b) < threshold is certain without
+    computing it: from the length gap, or when fewer than two of the d + 2
+    contiguous pieces of the shorter string occur in the longer one, d being
+    text.max_edits at the longer length."""
+    shorter, longer = (a, b) if len(a) <= len(b) else (b, a)
+    m = len(longer)
+    # levenshtein >= the length gap, so this bounds the similarity from above
+    if m and 1.0 - (m - len(shorter)) / m < threshold:
+        return False
+    if not 0 < threshold <= 1 or len(shorter) < 2:  # the first rejects NaN
+        return True
+    pieces = max_edits(threshold, m) + 2
+    if pieces > len(shorter):
+        return True
+    votes = 0
+    for p in range(pieces):
+        if votes + pieces - p < 2:  # too few pieces left for two votes
+            return False
+        votes += shorter[p * len(shorter) // pieces:
+                         (p + 1) * len(shorter) // pieces] in longer
+        if votes == 2:
+            return True
+    return False
+
+
 def match_sets(
     predicted: list[str] | tuple[str, ...],
     gold: list[str] | tuple[str, ...],
@@ -55,7 +81,9 @@ def match_sets(
     """Maximum one-to-one matching of pairs similar enough, seeded greedily.
 
     Similarities are computed between normalized strings; a pair counts only
-    when its similarity reaches *threshold*. The greedy matching takes pairs
+    when its similarity reaches *threshold*. Pairs that cannot reach it,
+    by their length gap or by the two-vote rule of _may_reach, are skipped
+    without computing the similarity. The greedy matching takes pairs
     highest similarity first, ties broken by (predicted index, gold index).
     Kuhn's augmenting paths then extend it to a maximum matching (the most
     pairs); an augmentation only adds pairs, so where greedy is already
@@ -67,14 +95,10 @@ def match_sets(
     scored: list[tuple[float, int, int]] = []
     for i, p in enumerate(pred_norm):
         for j, g in enumerate(gold_norm):
-            # levenshtein >= the length gap, so this bounds the similarity
-            # from above; pairs below the threshold on it are never kept.
-            longer = max(len(p), len(g))
-            if longer and 1.0 - abs(len(p) - len(g)) / longer < threshold:
-                continue
-            sim = similarity(p, g)
-            if sim >= threshold:
-                scored.append((sim, i, j))
+            if _may_reach(p, g, threshold):
+                sim = similarity(p, g)
+                if sim >= threshold:
+                    scored.append((sim, i, j))
     scored.sort(key=lambda t: (-t[0], t[1], t[2]))
 
     owner: dict[int, tuple[float, int]] = {}  # gold j -> (sim, predicted i)

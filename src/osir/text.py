@@ -61,11 +61,19 @@ def prefix_distances(pattern: str, text: str) -> list[int]:
 def levenshtein(a: str, b: str) -> int:
     """Edit distance between two strings (insert / delete / substitute, unit cost).
 
-    The shorter string is the bit-vector pattern, so the cost is
-    O(len(longer)) big-integer operations on min(len) bits.
+    A common prefix and suffix cost no edit, so the DP runs on the rest of
+    each string. The shorter rest is the bit-vector pattern, so the cost is
+    O(len(longer rest)) big-integer operations on len(shorter rest) bits.
     """
     if a == b:
         return 0
+    i = 0
+    while i < len(a) and i < len(b) and a[i] == b[i]:
+        i += 1
+    j = 0
+    while j < len(a) - i and j < len(b) - i and a[-1 - j] == b[-1 - j]:
+        j += 1
+    a, b = a[i:len(a) - j], b[i:len(b) - j]
     if len(a) > len(b):
         a, b = b, a
     if not a:
@@ -81,3 +89,19 @@ def similarity(a: str, b: str) -> float:
     if not a and not b:
         return 1.0
     return 1.0 - levenshtein(a, b) / max(len(a), len(b))
+
+
+def max_edits(threshold: float, m: int) -> int:
+    """The largest edit count d with 1.0 - d / m >= threshold, in the float
+    arithmetic of similarity; m >= 1 and 0 < threshold <= 1.
+
+    A string within d edits of another keeps at least two of any d + 2
+    contiguous pieces of it verbatim in the other (the partition lemma of
+    Baeza-Yates & Navarro), so two pieces found are necessary for a
+    similarity of at least *threshold* at length m or less.
+    """
+    # The + 1 starts above a product that rounds just below an integer.
+    d = int((1 - threshold) * m) + 1
+    while 1.0 - d / m < threshold:
+        d -= 1
+    return d

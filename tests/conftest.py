@@ -8,6 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from osir.corpus import Article
 from osir.extraction import (
@@ -45,6 +46,37 @@ def completion_text(record: ExtractionRecord, *, prose: str = "",
 def make_completion(article_id: str, sample_index: int,
                     record: ExtractionRecord, **kw) -> RawCompletion:
     return RawCompletion(article_id, sample_index, completion_text(record, **kw))
+
+
+LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
+def edit_all_but_two_pieces(draw, cand: str, ops: str) -> str:
+    """*cand* with one edit in each of len(ops) of its len(ops) + 2
+    contiguous pieces (text.max_edits's split), the other two verbatim:
+    "i" inserts a letter inside the piece, "s" substitutes a letter with
+    another and "d" deletes one. *draw* (a hypothesis draw) picks the two
+    verbatim pieces, the order of *ops*, the positions and the letters;
+    pieces must be at least two characters long.
+    """
+    pieces = len(ops) + 2
+    bounds = [p * len(cand) // pieces for p in range(pieces + 1)]
+    kept = draw(st.sets(st.integers(0, pieces - 1), min_size=2, max_size=2))
+    ops = iter(draw(st.permutations(ops)))
+    out = []
+    for p in range(pieces):
+        piece = cand[bounds[p]:bounds[p + 1]]
+        if p not in kept:
+            op = next(ops)
+            i = draw(st.integers(1 if op == "i" else 0, len(piece) - 1))
+            if op == "d":
+                piece = piece[:i] + piece[i + 1:]
+            else:
+                letter = draw(st.sampled_from(LETTERS).filter(
+                    lambda c: op == "i" or c != piece[i]))
+                piece = piece[:i] + letter + piece[i + (op == "s"):]
+        out.append(piece)
+    return "".join(out)
 
 
 def write_jsonl(path: Path, rows: list[dict]) -> Path:

@@ -136,6 +136,19 @@ class TestScore:
                                     if row["r"] >= 0.9]
         assert len(rows["selected"]) < len(rows["all"])
 
+    def test_nan_min_reward_is_a_usage_error(self, runner, bundle, tmp_path):
+        completions = self.extract_first(runner, bundle, tmp_path)
+        out = tmp_path / "rewards.jsonl"
+        result = runner.invoke(main, [
+            "score", "--corpus", str(bundle["corpus"]),
+            "--completions", str(completions),
+            "--gold", str(bundle["gold"]), "--out", str(out),
+            "--min-reward", "nan",
+        ])
+        assert result.exit_code == 2, result.output
+        assert "--min-reward" in result.output
+        assert not out.exists()
+
 
 class TestEval:
     def test_table_and_report(self, runner, bundle, tmp_path):

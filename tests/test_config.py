@@ -185,3 +185,21 @@ def test_seed_is_not_a_setting(tmp_path):
     path.write_text(json.dumps({"seed": 0}))
     with pytest.raises(ConfigError, match="unknown key 'seed'"):
         load_config(path, env={})
+
+
+@pytest.mark.parametrize("content, reason", [
+    pytest.param(b'{"token_budget": ' + b"9" * 5000 + b"}", "digits",
+                 id="integer-of-5000-digits"),
+    pytest.param(b'{"decode_params": {"a": ' + b"[" * 100_000
+                 + b"]" * 100_000 + b"}}", "recursion",
+                 id="arrays-nested-100000-deep"),
+    pytest.param(b'{"pass1_mode": "\xff\xfe"}', "utf-8",
+                 id="bytes-not-utf-8"),
+])
+def test_unreadable_file_raises_config_error(tmp_path, content, reason):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError,
+                       match=f"config file {path}: invalid JSON") as info:
+        load_config(path, env={})
+    assert reason in str(info.value).lower()

@@ -16,15 +16,18 @@ from osir.grounding import (
     EMBELLISHMENT_MODES,
     Thresholds,
     _best_window,
+    _pigeonhole_starts,
     embellishment_reward,
     filter_gold,
     fuzzy_contains,
     normalize_text,
 )
-from osir.text import prefix_distances, similarity
+from osir.scoring import match_sets
+from osir.text import max_edits, prefix_distances, similarity
 
-from conftest import corpus_row, make_article, make_record, write_jsonl
-from oracles import oracle_normalize, oracle_windowed_score
+from conftest import (LETTERS, corpus_row, edit_all_but_two_pieces,
+                      make_article, make_record, write_jsonl)
+from oracles import oracle_normalize, oracle_similarity, oracle_windowed_score
 
 DECISION_THRESHOLDS = (0.5, 0.7, 0.9, 0.95, 1.0)
 
@@ -345,6 +348,78 @@ class TestEmbellishmentReward:
         art = make_article("A1", "available at https://example.org/data in full")
         record = make_record(reuse_data_urls=("https://example.org/data/",))
         assert embellishment_reward(art, record).e == 1.0
+
+
+def _least_growth(threshold: float, length: int) -> int | None:
+    """The least net growth g of a copy of a length-*length* candidate for
+    which d edits, d = max_edits(threshold, floor(1.2 * length)), still
+    score at least *threshold*; None when no g <= d does."""
+    d = max_edits(threshold, 6 * length // 5)
+    return next((g for g in range(d + 1)
+                 if max_edits(threshold, length + g) >= d), None)
+
+
+@st.composite
+def _two_vote_cases(draw):
+    """(threshold, candidate, near copy, article, start of the copy): the
+    copy has one edit in each of d of the candidate's d + 2 pieces, d as in
+    _pigeonhole_starts, so only two pieces survive, yet it scores at least
+    the threshold. The article's other characters are digits, which the
+    candidate never holds."""
+    t = draw(st.sampled_from((0.9, 0.95)))
+    length = draw(st.integers(20, 90).filter(
+        lambda n: _least_growth(t, n) is not None))
+    d, growth = max_edits(t, 6 * length // 5), _least_growth(t, length)
+    inserts = draw(st.integers(growth, d))
+    deletes = draw(st.integers(0, min(inserts - growth, d - inserts)))
+    cand = draw(st.text(LETTERS, min_size=length, max_size=length))
+    near = edit_all_but_two_pieces(
+        draw, cand, "i" * inserts + "d" * deletes
+        + "s" * (d - inserts - deletes))
+    left, right = (draw(st.text(string.digits, max_size=40))
+                   for _ in range(2))
+    return t, cand, near, left + near + right, len(left)
+
+
+class TestTwoVoteFilter:
+    @given(_two_vote_cases())
+    @settings(deadline=None)
+    def test_window_with_two_surviving_pieces_is_marked(self, case):
+        t, cand, near, art, start = case
+        assert oracle_similarity(cand, near) >= t
+        marks = _pigeonhole_starts(art, cand, t)
+        assert marks is not None and marks[start] == 1
+        record = make_record(new_data_accessions=(cand,))
+        (result,) = embellishment_reward(
+            make_article("A1", art), record,
+            Thresholds(identifier=t, citation=t)).matches[
+                "new_data_accessions"]
+        assert result.matched
+        assert result == fuzzy_contains(art, cand, t)
+
+    @pytest.mark.parametrize("t, m, d", [
+        (0.95, 20, 1), (0.95, 40, 2), (0.95, 60, 3), (0.9, 30, 3),
+        (0.9, 50, 5)])
+    def test_exact_product_boundary(self, t, m, d):
+        # (1 - t) * m is the integer d in exact arithmetic but not in
+        # floats; a copy d substitutions away scores exactly t.
+        assert max_edits(t, m) == d
+        rng = random.Random(m)
+        cand = "".join(rng.choice(LETTERS) for _ in range(m))
+        near = list(cand)
+        for p in range(1, d + 1):  # one in each piece but the first and last
+            i = p * m // (d + 2)
+            near[i] = "z" if cand[i] != "z" else "y"
+        near = "".join(near)
+        assert oracle_similarity(cand, near) == t
+        art = "0123 " + near + " 4567"
+        (result,) = embellishment_reward(
+            make_article("A1", art), make_record(new_data_accessions=(cand,)),
+            Thresholds(identifier=t, citation=t)).matches[
+                "new_data_accessions"]
+        assert result.matched and result.score == t
+        assert result == fuzzy_contains(art, cand, t)
+        assert match_sets([near], [cand], t).pairs == ((near, cand, t),)
 
 
 class TestFilterGold:

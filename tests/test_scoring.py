@@ -4,7 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from osir import scoring
 from osir.extraction import GoldAnnotation, RawCompletion, SCORED_FIELDS
 from osir.scoring import (
     RewardBreakdown,
@@ -13,8 +16,10 @@ from osir.scoring import (
     match_sets,
     total_reward,
 )
+from osir.text import max_edits, similarity
 
-from conftest import completion_text, make_article, make_record
+from conftest import (LETTERS, completion_text, edit_all_but_two_pieces,
+                      make_article, make_record)
 from oracles import (oracle_f1, oracle_normalize, oracle_optimal_tp,
                      oracle_similarity)
 
@@ -126,6 +131,55 @@ class TestMatchSets:
                 assert m.pairs == tuple(expected)
             else:
                 assert m.tp == optimal, (predicted, gold, threshold)
+
+
+@st.composite
+def _two_surviving_pieces(draw):
+    """(threshold, candidate, copy): the copy has one substitution in each
+    of d of the candidate's d + 2 pieces, d = max_edits(t, len), so only two
+    pieces survive and the pair scores exactly 1 - d / len >= t."""
+    t = draw(st.sampled_from((0.7, 0.8, 0.9, 0.95)))
+    length = draw(st.integers(10, 60))
+    d = max_edits(t, length)
+    assume(d + 2 <= length // 2)  # pieces of two characters or more
+    cand = draw(st.text(LETTERS, min_size=length, max_size=length))
+    return t, cand, edit_all_but_two_pieces(draw, cand, "s" * d)
+
+
+class TestTwoVoteFilter:
+    @given(_two_surviving_pieces(),
+           st.lists(st.text("abc", max_size=12), max_size=2),
+           st.lists(st.text("abc", max_size=12), max_size=2))
+    @settings(deadline=None)
+    def test_pair_with_two_surviving_pieces_matches(self, case, more_predicted,
+                                                     more_gold):
+        t, cand, near = case
+        predicted, gold = [near, *more_predicted], [cand, *more_gold]
+        m = match_sets(predicted, gold, t)
+        assert m.tp == oracle_optimal_tp(predicted, gold, t) >= 1
+        for p, g, sim in m.pairs:
+            assert sim == oracle_similarity(oracle_normalize(p),
+                                            oracle_normalize(g))
+        assert match_sets([near], [cand], t).pairs == (
+            (near, cand, oracle_similarity(near, cand)),)
+
+    def test_pair_without_two_shared_pieces_skips_similarity(self,
+                                                           monkeypatch):
+        # at 0.9 over 20 characters, d = 2: pieces of five characters
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return similarity(a, b)
+
+        monkeypatch.setattr(scoring, "similarity", counted)
+        gold = "abcdefghijklmnopqrst"
+        for none_or_one_shared in ("tsrqponmlkjihgfedcba",
+                                   "abcdeXghijXlmnoXqrsX"):
+            assert match_sets([none_or_one_shared], [gold], 0.9).tp == 0
+        assert calls == []
+        assert match_sets(["abcdeXghijklmnoXqrst"], [gold], 0.9).tp == 1
+        assert len(calls) == 1
 
 
 class TestFieldF1:

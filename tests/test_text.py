@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from osir.text import levenshtein, prefix_distances, similarity
+from osir.text import levenshtein, max_edits, prefix_distances, similarity
 
 from oracles import oracle_levenshtein, oracle_similarity
 
@@ -77,3 +79,13 @@ class TestPrefixDistances:
 
     def test_empty_pattern(self):
         assert prefix_distances("", "abc") == [1, 2, 3]
+
+
+class TestMaxEdits:
+    @given(st.floats(min_value=0, max_value=1, exclude_min=True),
+           st.integers(1, 2000))
+    def test_largest_count_reaching_the_threshold(self, threshold, m):
+        # the score's own float rule, counted from zero
+        d = max_edits(threshold, m)
+        assert d == max(e for e in range(m + 1)
+                        if 1.0 - e / m >= threshold)
