@@ -71,15 +71,13 @@ class ReplayBackend:
                                           "replay fixture")
 
     def complete(self, prompt: PreparedPrompt, n: int) -> list[RawCompletion]:
-        out: list[RawCompletion] = []
-        for i in range(n):
-            key = (prompt.article_id, i)
+        keys = [(prompt.article_id, i) for i in range(n)]
+        for key in keys:
             if key not in self._fixtures:
                 raise ReplayFixtureError(
                     f"no fixture completion for article {key[0]!r} "
                     f"sample {key[1]}")
-            out.append(self._fixtures[key])
-        return out
+        return [self._fixtures[key] for key in keys]
 
 
 class HttpBackend:

@@ -10,8 +10,8 @@ variables < explicit flags.
 
 from __future__ import annotations
 
-import csv
 import math
+import os
 from collections import Counter
 from pathlib import Path
 
@@ -36,7 +36,7 @@ from .extraction import (
     save_gold,
 )
 from .grounding import filter_gold
-from .jsonl import write_jsonl
+from .jsonl import write_csv, write_jsonl
 from .pipeline import (
     aggregate_stage,
     complete_stage,
@@ -72,6 +72,21 @@ def _setting(flag: str, field: str, help: str | None = None):
     return click.option(flag, field, type=kind, default=None, help=help)
 
 
+class _OutFile(click.Path):
+    """An output file: not a directory, in a directory that exists. Options
+    are parsed before a command runs, so a bad path costs no request."""
+
+    def convert(self, value, param, ctx):
+        path = super().convert(value, param, ctx)
+        parent = Path(os.path.realpath(path)).parent  # where it is written
+        if not parent.is_dir():
+            self.fail(f"no directory {str(parent)!r}", param, ctx)
+        return path
+
+
+_OUT_FILE = _OutFile(dir_okay=False)
+
+
 @click.group(cls=_Group)
 def main() -> None:
     """Measure research-data generation and reuse across an article corpus."""
@@ -100,9 +115,9 @@ def ingest(corpus_path: str) -> None:
 @_setting("--endpoint", "endpoint", help="Completion endpoint (http mode).")
 @_setting("--samples", "samples_per_article", help="Samples per article.")
 @_setting("--budget", "token_budget", help="Prompt token budget.")
-@click.option("--out", "out_path", required=True, type=click.Path(),
+@click.option("--out", "out_path", required=True, type=_OUT_FILE,
               help="Where to write completions (JSONL).")
-@click.option("--records", "records_path", type=click.Path(), default=None,
+@click.option("--records", "records_path", type=_OUT_FILE, default=None,
               help="Also write parsed records here (JSONL).")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 def extract(corpus_path: str, out_path: str, records_path: str | None,
@@ -122,7 +137,7 @@ def extract(corpus_path: str, out_path: str, records_path: str | None,
 @click.option("--completions", "completions_path", required=True,
               type=click.Path())
 @click.option("--gold", "gold_path", required=True, type=click.Path())
-@click.option("--out", "out_path", required=True, type=click.Path())
+@click.option("--out", "out_path", required=True, type=_OUT_FILE)
 @_setting("--embellishment", "embellishment_mode")
 @click.option("--min-reward", type=float, default=None,
               help="Write only the rows whose reward r is >= this value.")
@@ -155,7 +170,7 @@ def score(corpus_path: str, completions_path: str, gold_path: str,
 @_setting("--pass1", "pass1_mode")
 @_setting("--flag-floor", "f1_floor",
           help="Best-sample F1 floor below which articles get flagged.")
-@click.option("--out", "out_path", required=True, type=click.Path())
+@click.option("--out", "out_path", required=True, type=_OUT_FILE)
 @click.option("--config", "config_path", type=click.Path(), default=None)
 def eval_command(completions_path: str, gold_path: str, out_path: str,
                  config_path: str | None, **overrides) -> None:
@@ -181,8 +196,8 @@ def eval_command(completions_path: str, gold_path: str, out_path: str,
 @main.command(name="filter-gold")
 @click.option("--corpus", "corpus_path", required=True, type=click.Path())
 @click.option("--gold", "gold_path", required=True, type=click.Path())
-@click.option("--out-kept", "kept_path", required=True, type=click.Path())
-@click.option("--out-removed", "removed_path", required=True, type=click.Path())
+@click.option("--out-kept", "kept_path", required=True, type=_OUT_FILE)
+@click.option("--out-removed", "removed_path", required=True, type=_OUT_FILE)
 @click.option("--config", "config_path", type=click.Path(), default=None)
 def filter_gold_command(corpus_path: str, gold_path: str, kept_path: str,
                         removed_path: str, config_path: str | None) -> None:
@@ -192,14 +207,10 @@ def filter_gold_command(corpus_path: str, gold_path: str, kept_path: str,
     annotations = load_gold(gold_path)
     kept, removed = filter_gold(corpus, annotations, config.thresholds())
     save_gold(kept, kept_path)
-    with Path(removed_path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["article_id", "field", "string", "best_score", "threshold"])
-        for r in removed:
-            for d in r.diagnostics:
-                writer.writerow([d.article_id, d.field, d.string,
-                                 f"{d.best_score:.6f}", d.threshold])
+    write_csv(removed_path,
+              ["article_id", "field", "string", "best_score", "threshold"],
+              ([d.article_id, d.field, d.string, f"{d.best_score:.6f}",
+                d.threshold] for r in removed for d in r.diagnostics))
     click.echo(f"kept {len(kept)} -> {kept_path}")
     click.echo(f"removed {len(removed)} -> {removed_path}")
 
@@ -208,7 +219,8 @@ def filter_gold_command(corpus_path: str, gold_path: str, kept_path: str,
 @click.option("--records", "records_path", required=True, type=click.Path())
 @click.option("--corpus", "corpus_path", required=True, type=click.Path())
 @_setting("--by", "group_by")
-@click.option("--out", "out_dir", required=True, type=click.Path())
+@click.option("--out", "out_dir", required=True,
+              type=click.Path(file_okay=False))
 @click.option("--config", "config_path", type=click.Path(), default=None)
 def aggregate(records_path: str, corpus_path: str, out_dir: str,
               config_path: str | None, **overrides) -> None:
@@ -237,7 +249,8 @@ def aggregate(records_path: str, corpus_path: str, out_dir: str,
 @main.command()
 @click.option("--corpus", "corpus_path", required=True, type=click.Path())
 @click.option("--gold", "gold_path", type=click.Path(), default=None)
-@click.option("--out", "out_dir", required=True, type=click.Path())
+@click.option("--out", "out_dir", required=True,
+              type=click.Path(file_okay=False))
 @_setting("--backend", "backend_mode")
 @_setting("--fixture", "fixture_path")
 @_setting("--endpoint", "endpoint")

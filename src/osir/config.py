@@ -22,6 +22,7 @@ from .corpus import DEFAULT_TOKEN_BUDGET
 from .evaluation import DEFAULT_F1_FLOOR, PASS1_MODES
 from .grounding import DEFAULT_THRESHOLDS, EMBELLISHMENT_MODES, Thresholds
 from .indicators import GROUPINGS
+from .jsonl import lone_surrogate, open_input
 
 ENV_PREFIX = "OSIR_"
 
@@ -118,20 +119,20 @@ def load_config(path: str | Path | None = None,
     """
     values: dict = {}
     if path is not None:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {p}")
+        with open_input(path, ConfigError, "config file") as fh:
+            text = fh.read()
         try:
-            payload = json.loads(p.read_text(encoding="utf-8"))
-        except (ValueError, RecursionError) as exc:  # ValueError: also bytes
-            # that are not UTF-8 and an integer too long to convert
-            raise ConfigError(f"config file {p}: invalid JSON "
+            if lone_surrogate(text) is not None:
+                raise ValueError("not UTF-8 text")
+            payload = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # also too long an int
+            raise ConfigError(f"config file {path}: invalid JSON "
                               f"({getattr(exc, 'msg', exc)})") from exc
         if not isinstance(payload, dict):
-            raise ConfigError(f"config file {p}: expected a JSON object")
+            raise ConfigError(f"config file {path}: expected a JSON object")
         for key, value in payload.items():
             if key not in FIELD_TYPES:
-                raise ConfigError(f"config file {p}: unknown key {key!r}")
+                raise ConfigError(f"config file {path}: unknown key {key!r}")
             values[key] = _coerce(key, value)
 
     env_map = os.environ if env is None else env

@@ -16,7 +16,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
-from .jsonl import iter_jsonl, lone_surrogate, write_jsonl
+from .jsonl import lone_surrogate, read_keyed, write_jsonl
 from .text import normalize_text
 
 TRUNCATION_MARKER = "[TRUNCATED]"
@@ -207,7 +207,7 @@ def _cut(text: str, cuts: tuple[int, int]) -> str:
     return f"{prefix}\n{TRUNCATION_MARKER}\n{suffix}"
 
 
-def _article_from_payload(payload: dict, line_no: int) -> Article:
+def _article_row(payload: dict, line_no: int) -> tuple[str, Article]:
     art_id = payload.get("id")
     body = payload.get("body_markdown")
     if not isinstance(art_id, str) or not art_id:
@@ -223,40 +223,22 @@ def _article_from_payload(payload: dict, line_no: int) -> Article:
         if at is not None:
             raise CorpusError(
                 f"line {line_no}: {key!r} holds a lone surrogate at index {at}")
-    discipline = payload.get("discipline") or "Unknown"
-    if discipline not in DISCIPLINES:
-        discipline = "Unknown"
+    discipline = payload.get("discipline")
     try:
-        return Article(
-            id=art_id,
-            title=payload.get("title") or "",
-            body=body,
-            discipline=discipline,
+        return art_id, Article(
+            id=art_id, title=payload.get("title") or "", body=body,
+            discipline=discipline if discipline in DISCIPLINES else "Unknown",
             region=payload.get("region") or "Unknown",
-            published=payload.get("published"),
-        )
+            published=payload.get("published"))
     except ValueError as exc:
         raise CorpusError(f"line {line_no}: {exc}") from exc
 
 
 def load_corpus(path: str | Path) -> list[Article]:
-    """Load a line-delimited corpus file into an ordered list of Articles.
-
-    Raises CorpusError naming the offending line number for malformed lines,
-    and both line numbers for duplicate article ids.
-    """
-    articles: list[Article] = []
-    seen: dict[str, int] = {}
-    for line_no, payload in iter_jsonl(path, CorpusError, "corpus file"):
-        article = _article_from_payload(payload, line_no)
-        if article.id in seen:
-            raise CorpusError(
-                f"duplicate article id {article.id!r} on lines "
-                f"{seen[article.id]} and {line_no}"
-            )
-        seen[article.id] = line_no
-        articles.append(article)
-    return articles
+    """Load a line-delimited corpus file into an ordered list of Articles,
+    keyed by id: a bad line or a repeated id raises CorpusError."""
+    return list(read_keyed(path, CorpusError, "corpus file",
+                           _article_row).values())
 
 
 def save_corpus(articles: Iterable[Article], path: str | Path) -> None:

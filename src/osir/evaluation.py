@@ -257,14 +257,11 @@ def build_eval_report(
 ) -> EvalReport:
     """Evaluate all ten scored fields and assemble the report. *scores* is
     score_samples' result for *samples*, when the caller already has it."""
-    if not samples:
-        raise EvaluationError("no samples")
-    k = len(samples[0].outcomes)
     metrics = _field_metrics(SCORED_FIELDS, samples, gold, pass1_mode,
-                             thresholds, scores)
+                             thresholds, scores)  # raises on no samples
     return EvalReport(
         articles=len(samples),
-        samples_per_article=k,
+        samples_per_article=len(samples[0].outcomes),
         pass1_mode=pass1_mode,
         boolean_fields={name: metrics[name] for name in BOOLEAN_FIELDS},
         list_fields={name: metrics[name] for name in LIST_FIELDS},
@@ -287,14 +284,9 @@ def render_report_table(report: EvalReport) -> str:
         rows.append((name, f"{m.pass_at_1 * 100:.1f}%", f"{m.pass_at_k * 100:.1f}%"))
     for name, m in report.list_fields.items():
         rows.append((name, f"{m.pass_at_1:.3f}", f"{m.pass_at_k:.3f}"))
-    widths = [max(len(r[i]) for r in rows + [header]) for i in range(3)]
-
-    def line(cells) -> str:
-        name, p1, pk = cells
-        return (f"{name:<{widths[0]}}  {p1:>{widths[1]}}  "
-                f"{pk:>{widths[2]}}")
-
-    return "\n".join(map(line, [header, ["-" * w for w in widths], *rows]))
+    w = [max(len(r[i]) for r in rows + [header]) for i in range(3)]
+    return "\n".join(f"{name:<{w[0]}}  {p1:>{w[1]}}  {pk:>{w[2]}}"
+                     for name, p1, pk in [header, ["-" * n for n in w], *rows])
 
 
 def save_report(report: EvalReport, path: str | Path) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 from typing import Iterable
 
-from .jsonl import field_dict, iter_jsonl, lone_surrogate, write_jsonl
+from .jsonl import field_dict, lone_surrogate, read_keyed, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -205,18 +205,14 @@ def _checked_record(payload: dict, line_no: int,
     return record
 
 
-def read_completions(
-    path: str | Path,
-    error_cls: type[Exception] = CompletionsFileError,
-    what: str = "completions file",
-) -> dict[tuple[str, int], RawCompletion]:
-    """Completions keyed by (article_id, sample_index), in file order.
-
-    Shared by the completions file and the replay fixture: one
-    {article_id, sample_index, text} per line, each key at most once.
-    """
-    out: dict[tuple[str, int], RawCompletion] = {}
-    for line_no, payload in iter_jsonl(path, error_cls, what):
+def read_completions(path: str | Path,
+                     error_cls: type[Exception] = CompletionsFileError,
+                     what: str = "completions file",
+                     ) -> dict[tuple[str, int], RawCompletion]:
+    """Completions keyed by (article_id, sample_index), in file order, from
+    a completions file or replay fixture: one {article_id, sample_index,
+    text} per line, each key at most once."""
+    def row(payload: dict, line_no: int):
         key = _sample_key(payload, line_no, error_cls)
         text = payload.get("text")
         if not isinstance(text, str):
@@ -225,10 +221,8 @@ def read_completions(
         if at is not None:
             raise error_cls(
                 f"line {line_no}: text holds a lone surrogate at index {at}")
-        if key in out:
-            raise error_cls(f"line {line_no}: duplicate sample {key}")
-        out[key] = RawCompletion(*key, text)
-    return out
+        return key, RawCompletion(*key, text)
+    return read_keyed(path, error_cls, what, row)
 
 
 def load_completions(path: str | Path) -> list[RawCompletion]:
@@ -250,27 +244,26 @@ def save_records(
                        for article_id, sample_index, record in records))
 
 
+def _record_row(payload: dict, line_no: int) -> tuple:
+    key = _sample_key(payload, line_no, CompletionsFileError)
+    return key, (*key, _checked_record(payload, line_no, CompletionsFileError))
+
+
 def load_records(path: str | Path) -> list[tuple[str, int, ExtractionRecord]]:
-    return [(*_sample_key(payload, line_no, CompletionsFileError),
-             _checked_record(payload, line_no, CompletionsFileError))
-            for line_no, payload in iter_jsonl(path, CompletionsFileError,
-                                               "records file")]
+    return list(read_keyed(path, CompletionsFileError, "records file",
+                           _record_row).values())
+
+
+def _gold_row(payload: dict, line_no: int) -> tuple:
+    article_id = _article_id(payload, line_no, GoldFileError)
+    return article_id, GoldAnnotation(
+        article_id, _checked_record(payload, line_no, GoldFileError))
 
 
 def load_gold(path: str | Path) -> list[GoldAnnotation]:
     """Load gold annotations: record fields plus article_id, one per line."""
-    out: list[GoldAnnotation] = []
-    seen: dict[str, int] = {}
-    for line_no, payload in iter_jsonl(path, GoldFileError, "gold file"):
-        article_id = _article_id(payload, line_no, GoldFileError)
-        if article_id in seen:
-            raise GoldFileError(
-                f"duplicate gold annotation for {article_id!r} on lines "
-                f"{seen[article_id]} and {line_no}")
-        seen[article_id] = line_no
-        out.append(GoldAnnotation(
-            article_id, _checked_record(payload, line_no, GoldFileError)))
-    return out
+    return list(read_keyed(path, GoldFileError, "gold file",
+                           _gold_row).values())
 
 
 def save_gold(annotations: Iterable[GoldAnnotation], path: str | Path) -> None:

@@ -8,7 +8,6 @@ reasoning-trace coverage and accession statistics.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Iterable
@@ -16,7 +15,7 @@ from typing import Iterable
 from .corpus import Article
 from .evaluation import SampleSet, majority_vote
 from .identifiers import canonicalize_identifier
-from .jsonl import field_dict, write_json, write_jsonl
+from .jsonl import field_dict, write_csv, write_json, write_jsonl
 
 GROUPINGS = ("discipline", "region", "total")
 TOTAL_LABEL = "Total"
@@ -114,28 +113,19 @@ def resolve_verdict(samples: SampleSet) -> ArticleVerdict:
 
     generated = majority_vote(parsed, "new_data_generated")
     reused = majority_vote(parsed, "reuse_data")
-
-    new_accession = False
-    reused_accessions: set[str] = set()
-    gen_trace = False
-    reuse_trace = False
-    for r in parsed:
-        reused_accessions |= _canonical_accessions(r.reuse_data_accessions)
-        new_accession = (new_accession
-                         or bool(_canonical_accessions(r.new_data_accessions)))
-        if r.new_data_description and r.new_data_description.strip():
-            gen_trace = True
-        if r.reuse_data_description and r.reuse_data_description.strip():
-            reuse_trace = True
-
+    reused_accessions = set().union(*(
+        _canonical_accessions(r.reuse_data_accessions) for r in parsed))
     return ArticleVerdict(
         article_id=samples.article_id,
         new_data_generated=generated,
         data_reused=reused,
         neither=not generated and not reused,
-        has_accession=new_accession or bool(reused_accessions),
-        has_generation_trace=gen_trace,
-        has_reuse_trace=reuse_trace,
+        has_accession=bool(reused_accessions) or any(
+            _canonical_accessions(r.new_data_accessions) for r in parsed),
+        has_generation_trace=any((r.new_data_description or "").strip()
+                                 for r in parsed),
+        has_reuse_trace=any((r.reuse_data_description or "").strip()
+                            for r in parsed),
         reused_accessions=tuple(sorted(reused_accessions)),
     )
 
@@ -205,9 +195,7 @@ def accession_stats(verdicts: list[ArticleVerdict]) -> AccessionStats:
     """Accession-bearing article share and unique reused accessions."""
     n = len(verdicts)
     with_acc = sum(1 for v in verdicts if v.has_accession)
-    unique: set[str] = set()
-    for v in verdicts:
-        unique.update(v.reused_accessions)
+    unique = set().union(*(v.reused_accessions for v in verdicts))
     return AccessionStats(
         articles=n,
         articles_with_accession=with_acc,
@@ -224,10 +212,7 @@ INDICATOR_CSV_COLUMNS = tuple(f.name for f in fields(IndicatorRow))
 
 
 def save_indicator_rows(rows: Iterable[IndicatorRow], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(INDICATOR_CSV_COLUMNS)
-        writer.writerows(map(astuple, rows))
+    write_csv(path, INDICATOR_CSV_COLUMNS, map(astuple, rows))
 
 
 def save_summary(trace: TraceCoverage, accessions: AccessionStats,

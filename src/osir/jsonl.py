@@ -1,5 +1,5 @@
-"""JSON files: the one JSON Lines reader and writer behind every loader and
-every .jsonl artifact, and the writer of the indented JSON documents.
+"""File access: every input file is opened, decoded and de-duplicated here,
+and every artifact is written here; only pipeline.file_digest reads bytes.
 
 A JSON Lines file holds one JSON object per line. Writers sort keys and keep
 non-ASCII text as is, so equal rows give equal bytes.
@@ -7,25 +7,39 @@ non-ASCII text as is, so equal rows give equal bytes.
 
 from __future__ import annotations
 
+import csv
 import json
+import os
+import stat
 from dataclasses import fields
 from functools import cache
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
+
+
+def open_input(path: str | Path, error_cls: type[Exception],
+               what: str) -> IO[str]:
+    """*path* opened as text, its undecodable bytes kept as lone surrogates.
+    Raises *error_cls*: "<what> not found", "<what> is not a file" (not a
+    regular file), or for any other OSError."""
+    try:
+        if stat.S_ISREG(os.stat(path).st_mode):
+            return open(path, encoding="utf-8", errors="surrogateescape")
+    except FileNotFoundError:
+        raise error_cls(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise error_cls(f"{what} {path}: {exc.strerror or exc}") from exc
+    raise error_cls(f"{what} is not a file: {path}")
 
 
 def iter_jsonl(path: str | Path, error_cls: type[Exception],
                what: str = "file") -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of *path*.
 
-    Raises *error_cls* for a missing file ("<what> not found"), and for a
-    line that is not UTF-8, not JSON or not a JSON object, naming the line.
+    Raises *error_cls* as open_input does, and for a line that is not UTF-8,
+    not JSON or not a JSON object, naming the line.
     """
-    path = Path(path)
-    if not path.exists():
-        raise error_cls(f"{what} not found: {path}")
-    # Undecodable bytes become lone surrogates, found line by line below.
-    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+    with open_input(path, error_cls, what) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -40,6 +54,22 @@ def iter_jsonl(path: str | Path, error_cls: type[Exception],
             if not isinstance(payload, dict):
                 raise error_cls(f"line {line_no}: expected a JSON object")
             yield line_no, payload
+
+
+def read_keyed(path: str | Path, error_cls: type[Exception], what: str,
+               row: Callable[[dict, int], tuple]) -> dict:
+    """Key -> value of every line of *path*, in file order; *row* gives a
+    line's (key, value) from its object and number. Raises *error_cls* as
+    iter_jsonl does, and for a key on two lines, naming both."""
+    out, lines = {}, {}
+    for line_no, payload in iter_jsonl(path, error_cls, what):
+        key, value = row(payload, line_no)
+        first = lines.setdefault(key, line_no)
+        if first != line_no:
+            raise error_cls(f"duplicate key {key!r} on lines {first} and "
+                            f"{line_no} of the {what}")
+        out[key] = value
+    return out
 
 
 def lone_surrogate(text: str) -> int | None:
@@ -64,6 +94,14 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
         for row in rows:
             fh.write(_ROW_ENCODER.encode(row))
             fh.write("\n")
+
+
+def write_csv(path: str | Path, header: Iterable, rows: Iterable) -> None:
+    """A CSV table: *header*, then *rows*, each line ended by "\\n"."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @cache

@@ -249,7 +249,6 @@ def run_pipeline(
     out_dir/manifest.json.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     stages: list[StageOutput] = []
 
     def emit(name: str, *paths: Path) -> None:
@@ -258,6 +257,7 @@ def run_pipeline(
             digests=tuple(file_digest(p) for p in paths)))
 
     with _failing_as("ingest"):
+        out.mkdir(parents=True, exist_ok=True)
         articles = load_corpus(corpus_path)
         gold = None if gold_path is None else load_gold(gold_path)
     articles_by_id = {a.id: a for a in articles}

@@ -133,9 +133,7 @@ def match_sets(
 def field_f1(matching: SetMatching) -> float:
     """F1 = 2*tp / (2*tp + fp + fn); both sides empty counts as agreement (1)."""
     denom = 2 * matching.tp + matching.fp + matching.fn
-    if denom == 0:
-        return 1.0
-    return 2 * matching.tp / denom
+    return 2 * matching.tp / denom if denom else 1.0
 
 
 def field_score(name: str, record: ExtractionRecord, want: ExtractionRecord,

@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from osir.backend import ReplayBackend
 from osir.cli import main
 from osir.config import PipelineConfig
+from osir.jsonl import field_dict
 
 from conftest import (
     build_replay_bundle,
@@ -294,6 +296,23 @@ class TestAggregate:
         assert result.exit_code != 0
         assert "'R9'" in result.output and "unknown article" in result.output
 
+    def test_duplicate_sample_exits_1_naming_both_lines(self, runner,
+                                                         tmp_path):
+        corpus_path = write_jsonl(tmp_path / "c.jsonl",
+                                  [corpus_row(make_article("a", "text"))])
+        rows = [{"article_id": "a", "sample_index": 0,
+                 **field_dict(make_record(new_data_generated=generated))}
+                for generated in (True, False)]
+        records_path = write_jsonl(tmp_path / "r.jsonl", rows)
+        result = runner.invoke(main, [
+            "aggregate", "--records", str(records_path),
+            "--corpus", str(corpus_path), "--out", str(tmp_path / "ind"),
+        ])
+        assert result.exit_code == 1
+        assert "duplicate key ('a', 0) on lines 1 and 2 of the records file" \
+            in result.output
+        assert not (tmp_path / "ind").exists()
+
 
 class TestRun:
     def test_full_pipeline(self, runner, bundle, tmp_path):
@@ -482,6 +501,102 @@ class TestErrorBoundary:
         result = runner.invoke(main, [command, "--help"])
         assert result.exit_code == 0, result.output
         assert result.output.startswith(f"Usage: main {command} ")
+
+
+class TestOutputPaths:
+    """An output path that cannot be written is a usage error, found while
+    the options are parsed: before any input is read or request is sent."""
+
+    # Each command's output options that name a file, and those that name a
+    # directory.
+    FILES = {"extract": ["--out", "--records"], "score": ["--out"],
+             "eval": ["--out"], "filter-gold": ["--out-kept", "--out-removed"]}
+    DIRECTORIES = {"aggregate": ["--out"], "run": ["--out"]}
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The article ids of every ReplayBackend.complete call."""
+        calls = []
+        complete = ReplayBackend.complete
+
+        def counting(backend, prompt, n):
+            calls.append(prompt.article_id)
+            return complete(backend, prompt, n)
+
+        monkeypatch.setattr(ReplayBackend, "complete", counting)
+        return calls
+
+    @staticmethod
+    def bad_path(tmp_path, kind):
+        if kind == "directory":
+            return tmp_path
+        if kind == "symlink into a missing directory":
+            link = tmp_path / "link.jsonl"
+            link.symlink_to(tmp_path / "missing" / "x.jsonl")
+            return link
+        return tmp_path / "missing" / "dir" / "x.jsonl"
+
+    def extract(self, runner, bundle, tmp_path, **outputs):
+        args = ["extract", "--corpus", str(bundle["corpus"]),
+                "--backend", "replay", "--fixture", str(bundle["fixture"]),
+                "--out", str(tmp_path / "c.jsonl")]
+        for flag, path in outputs.items():
+            args += [f"--{flag}", str(path)]
+        return runner.invoke(main, args)
+
+    def test_every_command_is_covered(self):
+        assert sorted([*self.FILES, *self.DIRECTORIES, "ingest"]) == \
+            sorted(main.commands)
+
+    def test_good_paths_call_the_backend(self, runner, bundle, tmp_path,
+                                         calls):
+        result = self.extract(runner, bundle, tmp_path,
+                              records=tmp_path / "r.jsonl")
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("kind", ["directory", "missing parent",
+                                      "symlink into a missing directory"])
+    @pytest.mark.parametrize("flag", ["out", "records"])
+    def test_extract_makes_no_request(self, runner, bundle, tmp_path, calls,
+                                      flag, kind):
+        result = self.extract(runner, bundle, tmp_path,
+                              **{flag: self.bad_path(tmp_path, kind)})
+        assert result.exit_code == 2
+        assert f"Invalid value for '--{flag}'" in result.output
+        assert calls == []
+        assert not (tmp_path / "c.jsonl").exists()
+
+    @pytest.mark.parametrize("kind, message", [
+        ("directory", "is a directory"), ("missing parent", "no directory"),
+        ("symlink into a missing directory", "no directory")])
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in FILES.items() for flag in flags])
+    def test_file_output_rejected(self, runner, tmp_path, command, flag, kind,
+                                  message):
+        args = [command]
+        for input_flag in TestErrorBoundary.INPUTS[command]:
+            args += [input_flag, str(tmp_path / "in.jsonl")]
+        for out_flag in self.FILES[command]:
+            path = (self.bad_path(tmp_path, kind) if out_flag == flag
+                    else tmp_path / "out.jsonl")
+            args += [out_flag, str(path)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert f"Invalid value for '{flag}'" in result.output
+        assert message in result.output
+
+    @pytest.mark.parametrize("command", sorted(DIRECTORIES))
+    def test_directory_output_that_is_a_file_rejected(self, runner, tmp_path,
+                                                      command):
+        args = [command]
+        for input_flag in TestErrorBoundary.INPUTS[command]:
+            args += [input_flag, str(tmp_path / "in.jsonl")]
+        (tmp_path / "out").write_text("")
+        result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "Invalid value for '--out'" in result.output
+        assert "is a file" in result.output
 
 
 class TestConfigTable:

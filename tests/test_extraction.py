@@ -164,6 +164,25 @@ class TestFileInterfaces:
         with pytest.raises(GoldFileError, match="A1"):
             load_gold(path)
 
+    def test_records_duplicate_sample_names_both_lines(self, tmp_path):
+        # Before records were keyed, the second row silently won the vote.
+        rows = [{"article_id": "a", "sample_index": 0,
+                 **field_dict(make_record(new_data_generated=generated))}
+                for generated in (True, False)]
+        path = write_jsonl(tmp_path / "records.jsonl", rows)
+        with pytest.raises(CompletionsFileError,
+                           match=r"duplicate key \('a', 0\) on lines 1 "
+                                 r"and 2 of the records file"):
+            load_records(path)
+
+    def test_records_keep_file_order(self, tmp_path):
+        rows = [{"article_id": a, "sample_index": i,
+                 **field_dict(make_record())} for a, i in
+                [("b", 1), ("a", 0), ("b", 0)]]
+        path = write_jsonl(tmp_path / "records.jsonl", rows)
+        assert [(a, i) for a, i, _ in load_records(path)] == \
+            [("b", 1), ("a", 0), ("b", 0)]
+
 
 def _lines(tmp_path, *lines: str):
     """A file whose second line is each of *lines* in turn, after one valid

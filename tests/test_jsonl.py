@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from osir.backend import ReplayBackend, ReplayFixtureError
+from osir.config import FIELD_TYPES, ConfigError, load_config
 from osir.corpus import CorpusError, load_corpus
 from osir.extraction import (
     DESCRIPTION_FIELDS,
@@ -17,7 +18,7 @@ from osir.extraction import (
     load_gold,
     load_records,
 )
-from osir.jsonl import iter_jsonl, write_jsonl
+from osir.jsonl import iter_jsonl, read_keyed, write_csv, write_jsonl
 
 
 class LineError(ValueError):
@@ -75,6 +76,43 @@ class TestIterJsonl:
             '{"a": [1, 2], "b": "é"}\n{}\n'
 
 
+def write_jsonl_lines(tmp_path, lines):
+    path = tmp_path / "x.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+class TestReadKeyed:
+    @staticmethod
+    def row(payload, line_no):
+        return payload["k"], (line_no, payload.get("v"))
+
+    def test_values_in_file_order(self, tmp_path):
+        path = write_jsonl_lines(tmp_path, ['{"k": "b", "v": 1}', "",
+                                            '{"k": "a"}'])
+        values = read_keyed(path, LineError, "widget file", self.row)
+        assert list(values.items()) == [("b", (1, 1)), ("a", (3, None))]
+
+    def test_duplicate_key_names_both_lines(self, tmp_path):
+        path = write_jsonl_lines(tmp_path, ['{"k": "a"}', '{"k": "b"}',
+                                            '{"k": "a", "v": 2}'])
+        with pytest.raises(LineError, match="duplicate key 'a' on lines 1 "
+                                            "and 3 of the widget file"):
+            read_keyed(path, LineError, "widget file", self.row)
+
+    def test_row_errors_pass_through(self, tmp_path):
+        path = write_jsonl_lines(tmp_path, ['{"v": 1}'])
+        with pytest.raises(KeyError):
+            read_keyed(path, LineError, "widget file", self.row)
+
+
+def test_csv_writer_quotes_and_ends_lines_with_newline(tmp_path):
+    path = tmp_path / "x.csv"
+    write_csv(path, ("a", "b"), [(1, 'say "hi", é'), ("x\ny", 0.5)])
+    assert path.read_bytes() == ('a,b\n1,"say ""hi"", é"\n"x\ny",0.5\n'
+                                 .encode("utf-8"))
+
+
 # ---------------------------------------------------------------------------
 # Property: every loader is total on any bytes
 
@@ -98,12 +136,18 @@ _plausible = st.sampled_from(
 _rows = st.dictionaries(st.sampled_from(_KEYS), _plausible | _json,
                         max_size=len(_KEYS))
 
+
+def _load_config(path):
+    return load_config(path, env={})
+
+
 _LOADERS = (
     (load_corpus, CorpusError),
     (load_completions, CompletionsFileError),
     (load_records, CompletionsFileError),
     (load_gold, GoldFileError),
     (ReplayBackend, ReplayFixtureError),
+    (_load_config, ConfigError),
 )
 
 
@@ -123,11 +167,19 @@ _lines = st.one_of(
               st.integers(0, 10**6)),
     st.binary())
 
+# Config files: JSON objects keyed by PipelineConfig fields, with values of
+# any JSON type (NaN and infinities included), and arbitrary bytes.
+_configs = st.one_of(
+    st.dictionaries(st.sampled_from(sorted(FIELD_TYPES)),
+                    _plausible | _json | st.floats(), max_size=6).map(
+        lambda value: json.dumps(value).encode("utf-8")),
+    st.binary())
+
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(lines=st.lists(_lines, min_size=1, max_size=3))
-def test_loaders_load_or_raise_their_error(tmp_path, lines):
+@given(lines=st.lists(_lines, min_size=1, max_size=3), config=_configs)
+def test_loaders_load_or_raise_their_error(tmp_path, lines, config):
     path = tmp_path / "line.jsonl"
     path.write_bytes(b"\n".join(lines) + b"\n")
     for load, error in _LOADERS:
@@ -135,3 +187,45 @@ def test_loaders_load_or_raise_their_error(tmp_path, lines):
             load(path)
         except error:
             pass
+    path.write_bytes(config)
+    try:
+        _load_config(path)
+    except ConfigError:
+        pass
+
+
+# ---------------------------------------------------------------------------
+# Every loader on paths that are not a readable file
+
+def _path_of_kind(tmp_path, kind):
+    path = tmp_path / "input.jsonl"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "empty file":
+        path.write_bytes(b"")
+    elif kind == "dangling symlink":
+        path.symlink_to(tmp_path / "nowhere.jsonl")
+    elif kind == "symlink loop":
+        path.symlink_to(path)
+    return path
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("missing", "not found"),
+    ("directory", "is not a file"),
+    ("empty file", None),
+    ("dangling symlink", "not found"),
+    ("symlink loop", "symbolic links"),
+])
+@pytest.mark.parametrize("load, error", _LOADERS,
+                         ids=[load.__name__ for load, _ in _LOADERS])
+def test_path_kinds_raise_only_the_declared_error(tmp_path, kind, message,
+                                                  load, error):
+    path = _path_of_kind(tmp_path, kind)
+    if message is None and load is not _load_config:
+        load(path)  # an empty file holds no rows
+        return
+    with pytest.raises(error) as info:
+        load(path)
+    assert str(path) in str(info.value)
+    assert (message or "invalid JSON") in str(info.value)

@@ -77,6 +77,21 @@ def replay_config(fixture_path, **kw):
 
 
 class TestRunPipeline:
+    @pytest.mark.parametrize("where", ["out_dir", "its parent"])
+    def test_out_dir_under_a_file_raises_pipeline_error(self, tmp_path,
+                                                        monkeypatch, where):
+        paths = build_replay_bundle(tmp_path, n_articles=2)
+        backend = CountingBackend(delay=0)
+        monkeypatch.setattr(osir.pipeline, "make_backend",
+                            lambda config: backend)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker if where == "out_dir" else blocker / "out"
+        with pytest.raises(PipelineError, match="stage 'ingest'") as info:
+            run_pipeline(paths["corpus"], out, replay_config(paths["fixture"]))
+        assert info.value.stage == "ingest"
+        assert backend.threads == set()
+
     def test_all_stages_with_gold(self, tmp_path):
         paths = build_replay_bundle(tmp_path, n_articles=3)
         out = tmp_path / "out"
