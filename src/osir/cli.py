@@ -28,12 +28,12 @@ from .evaluation import (
     score_samples,
 )
 from .extraction import (
-    ParseOutcome,
     load_completions,
     load_gold,
     load_records,
     save_completions,
     save_gold,
+    save_records,
 )
 from .grounding import filter_gold
 from .jsonl import write_csv, write_jsonl
@@ -43,7 +43,6 @@ from .pipeline import (
     parse_stage,
     prompt_stage,
     run_pipeline,
-    save_parsed,
     score_stage,
     verdict_stage,
 )
@@ -73,11 +72,18 @@ def _setting(flag: str, field: str, help: str | None = None):
 
 
 class _OutFile(click.Path):
-    """An output file: not a directory, in a directory that exists. Options
-    are parsed before a command runs, so a bad path costs no request."""
+    """An output file: not a directory, in a directory that exists, and a
+    path that stats or is missing (a symlink loop is neither). Options are
+    parsed before a command runs, so a bad path costs no request."""
 
     def convert(self, value, param, ctx):
         path = super().convert(value, param, ctx)
+        try:
+            os.stat(path)
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            self.fail(f"{path!r}: {exc.strerror or exc}", param, ctx)
         parent = Path(os.path.realpath(path)).parent  # where it is written
         if not parent.is_dir():
             self.fail(f"no directory {str(parent)!r}", param, ctx)
@@ -128,7 +134,7 @@ def extract(corpus_path: str, out_path: str, records_path: str | None,
     completions = complete_stage(prompts, config)
     save_completions(completions, out_path)
     if records_path is not None:
-        save_parsed(parse_stage(completions), records_path)
+        save_records(parse_stage(completions), records_path)
     click.echo(f"{len(completions)} completions -> {out_path}")
 
 
@@ -231,11 +237,7 @@ def aggregate(records_path: str, corpus_path: str, out_dir: str,
     """
     config = load_config(config_path, **overrides)
     articles = {a.id: a for a in load_corpus(corpus_path)}
-    parsed = [(article_id, sample_index,
-               ParseOutcome(status="parsed", record=record))
-              for article_id, sample_index, record
-              in load_records(records_path)]
-    verdicts = verdict_stage(parsed, articles)
+    verdicts = verdict_stage(load_records(records_path), articles)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = aggregate_stage(verdicts, articles, config, out)

@@ -20,6 +20,7 @@ from .extraction import (
     GoldAnnotation,
     LIST_FIELDS,
     ParseOutcome,
+    Parsed,
     RawCompletion,
     SCORED_FIELDS,
     parse_extraction,
@@ -65,9 +66,7 @@ class EvaluationError(ValueError):
     pass
 
 
-def group_samples(
-    samples: Iterable[tuple[str, int, ParseOutcome]],
-) -> list[SampleSet]:
+def group_samples(samples: Iterable[Parsed]) -> list[SampleSet]:
     """(article_id, sample_index, outcome) triples as one SampleSet per
     article, in article-id order, each with its outcomes by sample index."""
     by_article: dict[str, dict[int, ParseOutcome]] = {}

@@ -83,6 +83,10 @@ class ParseOutcome:
         return self.status == "parsed"
 
 
+#: One sample's outcome: (article_id, sample_index, outcome).
+Parsed = tuple[str, int, ParseOutcome]
+
+
 @dataclass(frozen=True)
 class GoldAnnotation:
     """Curator-labeled ground truth for one article, same shape as a record."""
@@ -234,22 +238,24 @@ def save_completions(completions: Iterable[RawCompletion], path: str | Path) -> 
     write_jsonl(path, map(field_dict, completions))
 
 
-def save_records(
-    records: Iterable[tuple[str, int, ExtractionRecord]],
-    path: str | Path,
-) -> None:
-    """Write parsed records keyed by (article_id, sample_index)."""
+def save_records(samples: Iterable[Parsed], path: str | Path) -> None:
+    """One row (records.jsonl) per sample that parsed, in the order given:
+    its key and its record's fields."""
     write_jsonl(path, ({"article_id": article_id, "sample_index": sample_index,
-                        **field_dict(record)}
-                       for article_id, sample_index, record in records))
+                        **field_dict(outcome.record)}
+                       for article_id, sample_index, outcome in samples
+                       if outcome.parsed))
 
 
 def _record_row(payload: dict, line_no: int) -> tuple:
     key = _sample_key(payload, line_no, CompletionsFileError)
-    return key, (*key, _checked_record(payload, line_no, CompletionsFileError))
+    record = _checked_record(payload, line_no, CompletionsFileError)
+    return key, (*key, ParseOutcome("parsed", record))
 
 
-def load_records(path: str | Path) -> list[tuple[str, int, ExtractionRecord]]:
+def load_records(path: str | Path) -> list[Parsed]:
+    """The samples of a records file, each as the parsed outcome it was
+    saved from."""
     return list(read_keyed(path, CompletionsFileError, "records file",
                            _record_row).values())
 

@@ -33,6 +33,7 @@ from .evaluation import SampleSet, group_samples
 from .extraction import (
     GoldAnnotation,
     ParseOutcome,
+    Parsed,
     RawCompletion,
     load_gold,
     parse_extraction,
@@ -52,9 +53,6 @@ from .indicators import (
 )
 from .jsonl import field_dict, write_json, write_jsonl
 from .scoring import outcome_reward
-
-#: One parsed sample: (article_id, sample_index, outcome).
-Parsed = tuple[str, int, ParseOutcome]
 
 #: The samples of an article that has none, so that its verdict is unresolved.
 NO_SAMPLES = (ParseOutcome(status="format_failure",
@@ -182,13 +180,6 @@ def parse_stage(completions: list[RawCompletion]) -> list[Parsed]:
             for c in completions]
 
 
-def save_parsed(parsed: list[Parsed], path: str | Path) -> None:
-    """The records of the samples that parsed (records.jsonl)."""
-    save_records(((article_id, sample_index, outcome.record)
-                  for article_id, sample_index, outcome in parsed
-                  if outcome.parsed), path)
-
-
 def score_stage(parsed: list[Parsed], articles: dict[str, Article],
                 gold: dict[str, GoldAnnotation],
                 config: PipelineConfig) -> list[dict]:
@@ -272,7 +263,7 @@ def run_pipeline(
 
     parsed = parse_stage(completions)
     del completions  # saved and parsed: nothing reads the texts again
-    save_parsed(parsed, out / "records.jsonl")
+    save_records(parsed, out / "records.jsonl")
     emit("parse", out / "records.jsonl")
 
     if gold is not None:

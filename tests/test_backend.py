@@ -13,6 +13,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import osir
 from osir.backend import (
@@ -580,6 +582,96 @@ class TestScheduler:
         assert backend.peak <= config.max_in_flight
         assert len(started) == config.max_in_flight
         assert not any(thread.is_alive() for thread in started)
+
+
+#: What a scripted backend does on one attempt: the error it raises, if any.
+OUTCOMES = {
+    "success": lambda: None,
+    "retry": lambda: RetryableError("HTTP 503"),
+    "retry after 0": lambda: RetryableError("HTTP 429", retry_after=0),
+    "fatal": lambda: BackendError("HTTP 400"),
+    "crash": lambda: RuntimeError("crash"),
+}
+
+
+class _Scripted:
+    """A backend that answers attempt k of article i with script[i][k - 1],
+    each error made once, so that a raised error is known by identity."""
+
+    def __init__(self, script: list[list[str]]):
+        self.errors = [[OUTCOMES[outcome]() for outcome in attempts]
+                       for attempts in script]
+        self.lock = threading.Lock()
+        self.attempts = [0] * len(script)
+        self.active = self.peak = 0
+
+    def complete(self, prompt, n):
+        index = int(prompt.article_id)
+        with self.lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+            self.attempts[index] += 1
+            attempt = self.attempts[index]
+        time.sleep(0)
+        with self.lock:
+            self.active -= 1
+        error = self.errors[index][attempt - 1]
+        if error is not None:
+            raise error
+        return [RawCompletion(prompt.article_id, i, "t") for i in range(n)]
+
+    def fate(self, index: int) -> BaseException | None:
+        """The error article *index* ends with if it runs alone: its first
+        non-retryable error, its last retryable one if every attempt fails,
+        or None if an attempt succeeds."""
+        for error in self.errors[index]:
+            if not isinstance(error, RetryableError):
+                return error
+        return self.errors[index][-1]
+
+
+@st.composite
+def fault_schedules(draw):
+    max_attempts = draw(st.integers(1, 3))
+    script = draw(st.lists(
+        st.lists(st.sampled_from(list(OUTCOMES)), min_size=max_attempts,
+                 max_size=max_attempts), min_size=1, max_size=12))
+    return (script, draw(st.integers(1, 4)), max_attempts,
+            draw(st.integers(1, 3)))
+
+
+class TestFaultSchedules:
+    """complete_all under any schedule of successes, retryable, fatal and
+    unexpected errors keeps its promises."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fault_schedules())
+    def test_invariants(self, started, schedule):
+        script, max_in_flight, max_attempts, n = schedule
+        backend = _Scripted(script)
+        config = PipelineConfig(max_in_flight=max_in_flight,
+                                max_attempts=max_attempts, backoff_base=0)
+        ids = [str(i) for i in range(len(script))]
+        first_thread = len(started)
+        fates = [backend.fate(i) for i in range(len(script))]
+        try:
+            out = complete_all(backend, [prompt_for(i) for i in ids], n,
+                               config)
+        except Exception as exc:
+            # an exhausted article raises BackendError from its last failure
+            raised = exc.__cause__ if isinstance(exc.__cause__,
+                                                 RetryableError) else exc
+            assert any(raised is fate for fate in fates)
+        else:
+            assert all(fate is None for fate in fates)
+            assert [[(c.article_id, c.sample_index) for c in batch]
+                    for batch in out] == [[(i, k) for k in range(n)]
+                                          for i in ids]
+        assert backend.peak <= max_in_flight
+        assert max(backend.attempts) <= max_attempts
+        assert not any(thread.is_alive()
+                       for thread in started[first_thread:])
 
 
 class TestWorkerThreads:

@@ -534,6 +534,10 @@ class TestOutputPaths:
             link = tmp_path / "link.jsonl"
             link.symlink_to(tmp_path / "missing" / "x.jsonl")
             return link
+        if kind == "symlink loop":
+            loop = tmp_path / "loop.jsonl"
+            loop.symlink_to(loop)
+            return loop
         return tmp_path / "missing" / "dir" / "x.jsonl"
 
     def extract(self, runner, bundle, tmp_path, **outputs):
@@ -556,7 +560,8 @@ class TestOutputPaths:
         assert len(calls) == 4
 
     @pytest.mark.parametrize("kind", ["directory", "missing parent",
-                                      "symlink into a missing directory"])
+                                      "symlink into a missing directory",
+                                      "symlink loop"])
     @pytest.mark.parametrize("flag", ["out", "records"])
     def test_extract_makes_no_request(self, runner, bundle, tmp_path, calls,
                                       flag, kind):
@@ -569,11 +574,12 @@ class TestOutputPaths:
 
     @pytest.mark.parametrize("kind, message", [
         ("directory", "is a directory"), ("missing parent", "no directory"),
-        ("symlink into a missing directory", "no directory")])
+        ("symlink into a missing directory", "no directory"),
+        ("symlink loop", "Too many levels of symbolic links")])
     @pytest.mark.parametrize("command, flag", [
         (command, flag) for command, flags in FILES.items() for flag in flags])
-    def test_file_output_rejected(self, runner, tmp_path, command, flag, kind,
-                                  message):
+    def test_file_output_rejected(self, runner, tmp_path, calls, command, flag,
+                                  kind, message):
         args = [command]
         for input_flag in TestErrorBoundary.INPUTS[command]:
             args += [input_flag, str(tmp_path / "in.jsonl")]
@@ -585,6 +591,7 @@ class TestOutputPaths:
         assert result.exit_code == 2
         assert f"Invalid value for '{flag}'" in result.output
         assert message in result.output
+        assert calls == []
 
     @pytest.mark.parametrize("command", sorted(DIRECTORIES))
     def test_directory_output_that_is_a_file_rejected(self, runner, tmp_path,

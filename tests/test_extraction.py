@@ -3,12 +3,17 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from osir.extraction import (
+    BOOLEAN_FIELDS,
+    DESCRIPTION_FIELDS,
+    LIST_FIELDS,
     CompletionsFileError,
+    ExtractionRecord,
     GoldFileError,
+    ParseOutcome,
     RawCompletion,
     format_reward,
     load_completions,
@@ -16,12 +21,14 @@ from osir.extraction import (
     load_records,
     parse_extraction,
     save_gold,
+    save_records,
     serialize_record,
 )
 from osir.jsonl import field_dict
 from osir.extraction import GoldAnnotation
+from osir.pipeline import verdict_stage
 
-from conftest import completion_text, make_record, write_jsonl
+from conftest import completion_text, make_article, make_record, write_jsonl
 
 
 def outcome_for(text: str):
@@ -182,6 +189,45 @@ class TestFileInterfaces:
         path = write_jsonl(tmp_path / "records.jsonl", rows)
         assert [(a, i) for a, i, _ in load_records(path)] == \
             [("b", 1), ("a", 0), ("b", 0)]
+
+
+#: Article ids, non-ASCII ones included.
+RECORD_ARTICLES = ("a", "b", "é", "記事")
+
+extraction_records = st.builds(ExtractionRecord, **{
+    **{name: st.booleans() for name in BOOLEAN_FIELDS},
+    **{name: st.lists(st.text(max_size=6), max_size=3).map(tuple)
+       for name in LIST_FIELDS},
+    **{name: st.none() | st.text(max_size=8) for name in DESCRIPTION_FIELDS},
+})
+
+parse_outcomes = (
+    extraction_records.map(lambda r: ParseOutcome("parsed", r))
+    | st.builds(ParseOutcome, st.just("format_failure"),
+                failure_reason=st.text(max_size=8)))
+
+parsed_samples = st.lists(
+    st.tuples(st.sampled_from(RECORD_ARTICLES), st.integers(0, 3),
+              parse_outcomes),
+    unique_by=lambda sample: sample[:2], max_size=12)
+
+
+class TestRecordsRoundTrip:
+    """A records file holds the samples that parsed and gives them back, so
+    that aggregating it reaches the verdicts of the samples it came from."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(parsed_samples)
+    def test_load_gives_back_the_parsed_samples(self, tmp_path, samples):
+        path = tmp_path / "records.jsonl"
+        save_records(samples, path)
+        loaded = load_records(path)
+        parsed = [sample for sample in samples if sample[2].parsed]
+        assert loaded == parsed
+        articles = {a: make_article(a, "body") for a in RECORD_ARTICLES}
+        assert verdict_stage(loaded, articles) == \
+            verdict_stage(samples, articles)
 
 
 def _lines(tmp_path, *lines: str):
