@@ -58,7 +58,10 @@ class _Group(click.Group):
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
         except Exception as exc:
-            raise click.ClickException(str(exc)) from exc
+            # str() of a KeyError is the repr of its one argument
+            message = (exc.args[0] if isinstance(exc, KeyError)
+                       and len(exc.args) == 1 else exc)
+            raise click.ClickException(str(message)) from exc
 
 
 def _setting(flag: str, field: str, help: str | None = None):
@@ -171,20 +174,21 @@ def score(corpus_path: str, completions_path: str, gold_path: str,
 @click.option("--completions", "completions_path", required=True,
               type=click.Path())
 @click.option("--gold", "gold_path", required=True, type=click.Path())
-@_setting("--samples", "samples_per_article",
-          help="Expected samples per article.")
+@click.option("--samples", "expected_samples", type=click.IntRange(min=1),
+              help="Expected samples per article; not a configuration key.")
 @_setting("--pass1", "pass1_mode")
 @_setting("--flag-floor", "f1_floor",
           help="Best-sample F1 floor below which articles get flagged.")
 @click.option("--out", "out_path", required=True, type=_OUT_FILE)
 @click.option("--config", "config_path", type=click.Path(), default=None)
 def eval_command(completions_path: str, gold_path: str, out_path: str,
-                 config_path: str | None, **overrides) -> None:
+                 expected_samples: int | None, config_path: str | None,
+                 **overrides) -> None:
     """Evaluate completions against gold and print the metrics table."""
     config = load_config(config_path, **overrides)
     completions = load_completions(completions_path)
     gold = load_gold(gold_path)
-    samples = build_sample_sets(completions, overrides["samples_per_article"])
+    samples = build_sample_sets(completions, expected_samples)
     thresholds = config.thresholds()
     scores = score_samples(samples, gold, thresholds)
     report = build_eval_report(samples, gold, config.pass1_mode,

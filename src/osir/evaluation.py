@@ -1,9 +1,10 @@
 """Multi-sample evaluation against gold: pass@1 / pass@k metrics and flagging.
 
-The per-field rule comes from scoring.field_score, the one the reward's
-sub-scores use: booleans by accuracy, evidence lists by matching F1 at the
-field kind's threshold. With k samples per article, pass@1 averages over
-every sample while pass@k takes the best sample per article, so pass@k always
+Each parsed sample is scored by scoring.accuracy_reward, and its sub_scores
+are the per-field scores: the same values as the rows of rewards.jsonl.
+Booleans score by accuracy, evidence lists by matching F1 at the field
+kind's threshold. With k samples per article, pass@1 averages over every
+sample while pass@k takes the best sample per article, so pass@k always
 dominates pass@1. Unparseable samples count as wrong (F1 zero): excluding
 them would flatter the model.
 """
@@ -27,7 +28,7 @@ from .extraction import (
 )
 from .grounding import DEFAULT_THRESHOLDS, Thresholds
 from .jsonl import write_json
-from .scoring import field_score
+from .scoring import accuracy_reward
 
 PASS1_MODES = ("mean", "first")
 
@@ -117,62 +118,21 @@ def majority_vote(records: list[ExtractionRecord], field: str) -> bool:
     return sum(1 for r in records if getattr(r, field)) * 2 > len(records)
 
 
-#: Per SampleSet, in order: field name -> the field_score of each sample, by
-#: sample index, 0.0 for an unparsed sample.
-SampleScores = list[dict[str, list[float]]]
+#: Per SampleSet, in order: each sample's accuracy_reward sub_scores, by
+#: sample index, {} for an unparsed sample: the sub_scores of rewards.jsonl.
+SampleScores = list[list[dict[str, float]]]
 
 
 def score_samples(
     samples: list[SampleSet],
     gold: list[GoldAnnotation],
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
-    fields: tuple[str, ...] = SCORED_FIELDS,
 ) -> SampleScores:
-    """field_score of every sample of *samples* on each of *fields*, so that
+    """accuracy_reward's sub_scores of every sample of *samples*, so that
     the report and the review flags share one scoring of each sample."""
     by_id = _gold_map(gold, samples)
-    scores: SampleScores = []
-    for s in samples:
-        want = by_id[s.article_id].record
-        scores.append({name: [field_score(name, o.record, want, thresholds)
-                              if o.parsed else 0.0 for o in s.outcomes]
-                       for name in fields})
-    return scores
-
-
-def _field_metrics(
-    fields: tuple[str, ...],
-    samples: list[SampleSet],
-    gold: list[GoldAnnotation],
-    pass1_mode: str,
-    thresholds: Thresholds,
-    scores: SampleScores | None = None,
-) -> dict[str, FieldMetrics]:
-    """pass@1 and pass@k of each field's field_score; unparsed samples
-    score 0.
-
-    pass@1 averages the score over every (article, sample) pair ("mean"
-    mode) or over first samples only ("first" mode); pass@k averages each
-    article's best sample. *scores* is score_samples' result for *samples*,
-    when the caller already has it.
-    """
-    if pass1_mode not in PASS1_MODES:
-        raise ValueError(f"unknown pass@1 mode: {pass1_mode!r}")
-    if not samples:
-        raise EvaluationError("no samples")
-    if scores is None:
-        scores = score_samples(samples, gold, thresholds, fields)
-    metrics = {}
-    for name in fields:
-        pass1: list[float] = []
-        best: list[float] = []
-        for article in scores:
-            field = article[name]
-            pass1.extend(field[:1] if pass1_mode == "first" else field)
-            best.append(max(field, default=0.0))
-        metrics[name] = FieldMetrics(pass_at_1=sum(pass1) / len(pass1),
-                                     pass_at_k=sum(best) / len(best))
-    return metrics
+    return [[accuracy_reward(o.record, by_id[s.article_id], thresholds)[1]
+             if o.parsed else {} for o in s.outcomes] for s in samples]
 
 
 def evaluate_boolean_field(
@@ -186,8 +146,7 @@ def evaluate_boolean_field(
     A sample is correct iff it parsed and its boolean equals gold; pass@k is
     the fraction of articles with at least one correct sample.
     """
-    return _field_metrics((field,), samples, gold, pass1_mode,
-                          DEFAULT_THRESHOLDS)[field]
+    return build_eval_report(samples, gold, pass1_mode).boolean_fields[field]
 
 
 def evaluate_list_field(
@@ -202,8 +161,9 @@ def evaluate_list_field(
     pass@1 averages per-sample F1; pass@k averages each article's best
     sample F1.
     """
-    return _field_metrics((field,), samples, gold, pass1_mode,
-                          Thresholds(threshold, threshold))[field]
+    report = build_eval_report(samples, gold, pass1_mode,
+                               Thresholds(threshold, threshold))
+    return report.list_fields[field]
 
 
 #: Best-sample F1 below which flag_disagreements flags a list field.
@@ -226,9 +186,9 @@ def flag_disagreements(
     """
     by_id = _gold_map(gold, samples)
     if scores is None:
-        scores = score_samples(samples, gold, thresholds, LIST_FIELDS)
+        scores = score_samples(samples, gold, thresholds)
     flagged: list[FlaggedArticle] = []
-    for s, fields in zip(samples, scores):
+    for s, article in zip(samples, scores):
         want = by_id[s.article_id].record
         reasons: list[str] = []
         parsed = [o.record for o in s.outcomes if o.parsed]
@@ -238,7 +198,7 @@ def flag_disagreements(
         for name in LIST_FIELDS:
             # An unparsed sample scores 0, the least F1, so the best over
             # every sample is the best over the parsed ones (0 if none).
-            best = max(fields[name], default=0.0)
+            best = max([sub.get(name, 0.0) for sub in article], default=0.0)
             if best < f1_floor:
                 reasons.append(
                     f"{name} best F1 {best:.2f} below floor {f1_floor:.2f}")
@@ -254,10 +214,27 @@ def build_eval_report(
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
     scores: SampleScores | None = None,
 ) -> EvalReport:
-    """Evaluate all ten scored fields and assemble the report. *scores* is
-    score_samples' result for *samples*, when the caller already has it."""
-    metrics = _field_metrics(SCORED_FIELDS, samples, gold, pass1_mode,
-                             thresholds, scores)  # raises on no samples
+    """pass@1 and pass@k of all ten scored fields; an unparsed sample scores
+    0. pass@1 averages a field's score over every (article, sample) pair
+    ("mean" mode) or over first samples only ("first" mode); pass@k averages
+    each article's best sample. *scores* is score_samples' result for
+    *samples*, when the caller already has it."""
+    if pass1_mode not in PASS1_MODES:
+        raise ValueError(f"unknown pass@1 mode: {pass1_mode!r}")
+    if not samples:
+        raise EvaluationError("no samples")
+    if scores is None:
+        scores = score_samples(samples, gold, thresholds)
+    metrics = {}
+    for name in SCORED_FIELDS:
+        pass1: list[float] = []
+        best: list[float] = []
+        for article in scores:
+            field = [sub.get(name, 0.0) for sub in article]
+            pass1.extend(field[:1] if pass1_mode == "first" else field)
+            best.append(max(field, default=0.0))
+        metrics[name] = FieldMetrics(pass_at_1=sum(pass1) / len(pass1),
+                                     pass_at_k=sum(best) / len(best))
     return EvalReport(
         articles=len(samples),
         samples_per_article=len(samples[0].outcomes),

@@ -203,6 +203,27 @@ class TestEval:
         assert (configured[citations[0]][citations[1]][citations[2]]
                 > default[citations[0]][citations[1]][citations[2]])
 
+    def test_samples_pins_only_the_count_checked(self, runner, bundle,
+                                                 tmp_path, monkeypatch):
+        # samples_per_article from a file or the environment does not
+        # reach eval; --samples alone pins the count it checks.
+        args = ["eval", "--completions", str(bundle["fixture"]),
+                "--gold", str(bundle["gold"]),
+                "--out", str(tmp_path / "report.json")]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"samples_per_article": 5}))
+        result = runner.invoke(main, args + ["--config", str(config)])
+        assert result.exit_code == 0, result.output
+        monkeypatch.setenv("OSIR_SAMPLES_PER_ARTICLE", "5")
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, args + ["--samples", "5"])
+        assert result.exit_code == 1
+        assert "expected 5 samples per article, found 3" in result.output
+        result = runner.invoke(main, args + ["--samples", "0"])
+        assert result.exit_code == 2
+        assert "'--samples'" in result.output
+
 
 class TestFilterGold:
     def test_removals_report(self, runner, tmp_path):
@@ -495,6 +516,19 @@ class TestErrorBoundary:
         assert result.output.startswith("Error: ")
         assert result.output.rstrip().endswith(str(missing))
         assert "Traceback" not in result.output
+
+    def test_key_error_prints_its_message(self, runner, tmp_path):
+        corpus = write_jsonl(tmp_path / "c.jsonl",
+                             [corpus_row(make_article("K1", "body"))])
+        gold = write_jsonl(tmp_path / "g.jsonl",
+                           [gold_row(GoldAnnotation("zz", make_record()))])
+        result = runner.invoke(main, [
+            "filter-gold", "--corpus", str(corpus), "--gold", str(gold),
+            "--out-kept", str(tmp_path / "kept.jsonl"),
+            "--out-removed", str(tmp_path / "removed.csv")])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            "Error: gold annotation references unknown article 'zz'"]
 
     @pytest.mark.parametrize("command", sorted(INPUTS))
     def test_help_exits_zero(self, runner, command):

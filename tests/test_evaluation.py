@@ -8,6 +8,8 @@ from click.testing import CliRunner
 
 from osir import scoring
 from osir.cli import main
+from osir.config import PipelineConfig
+from osir.corpus import load_corpus
 from osir.evaluation import (
     EvaluationError,
     FlaggedArticle,
@@ -19,6 +21,7 @@ from osir.evaluation import (
     flag_disagreements,
     majority_vote,
     render_report_table,
+    score_samples,
 )
 from osir.extraction import (
     BOOLEAN_FIELDS,
@@ -29,6 +32,7 @@ from osir.extraction import (
     load_gold,
 )
 from osir.grounding import DEFAULT_THRESHOLDS
+from osir.pipeline import parse_stage, score_stage
 
 from conftest import (
     build_unparseable_bundle,
@@ -374,3 +378,29 @@ class TestEvalScoresEachSampleOnce:
                  for f in expected]
         assert f"\n{len(expected)} articles flagged for review\n" + \
             "\n".join(lines) + "\n" in result.output
+
+
+class TestScoresAreTheRewardSubScores:
+    """score_samples gives each sample the sub_scores of its rewards.jsonl
+    row: one score table for osir score and osir eval."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_score_stage_rows(self, tmp_path, seed):
+        paths = build_unparseable_bundle(tmp_path, seed=seed)
+        perturb_lists(paths["fixture"], seed=seed)
+        completions = load_completions(paths["fixture"])
+        gold = load_gold(paths["gold"])
+        articles = {a.id: a for a in load_corpus(paths["corpus"])}
+        config = PipelineConfig()
+        rows = score_stage(parse_stage(completions), articles,
+                           {g.article_id: g for g in gold}, config)
+        expected: dict[str, dict[int, dict]] = {}
+        for row in rows:
+            expected.setdefault(row["article_id"], {})[row["sample_index"]] = \
+                row["sub_scores"]
+        assert any({} in by_index.values() for by_index in expected.values())
+
+        samples = build_sample_sets(completions)
+        scores = score_samples(samples, gold, config.thresholds())
+        assert {s.article_id: dict(enumerate(article))
+                for s, article in zip(samples, scores)} == expected
