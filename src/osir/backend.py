@@ -249,15 +249,18 @@ def complete_all(backend: ReplayBackend | HttpBackend,
                  config: PipelineConfig) -> list[list[RawCompletion]]:
     """backend.complete(prompt, n) of every prompt, in prompt order.
 
-    min(max_in_flight, len(prompts)) threads each pull the next attempt,
+    min(max_in_flight, len(prompts)) workers each pull the next attempt,
     run it, and pull again, so at most max_in_flight attempts run at a time.
-    A RetryableError sends its prompt to wait out a delay, the server's
-    Retry-After if it gave one, else backoff_base * 2**(attempt - 1), while
-    its thread pulls the next prompt; once the delay is over the prompt
-    queues behind those not yet sent. The max_attempts-th failure, a delay
-    longer than threading.TIMEOUT_MAX, or any other error in a thread is
-    fatal: no attempt starts after it, the ones already running finish, and
-    the error is raised.
+    The calling thread is one of the workers and starts the others as
+    threads, so a single worker starts none. A RetryableError sends its
+    prompt to wait out a delay, the server's Retry-After if it gave one,
+    else backoff_base * 2**(attempt - 1), while its worker pulls the next
+    prompt; once the delay is over the prompt queues behind those not yet
+    sent. The max_attempts-th failure, a delay longer than
+    threading.TIMEOUT_MAX, or any other error in a worker is fatal: no
+    attempt starts after it, the ones already running finish, and the error
+    is raised. An interrupt of the calling thread is fatal too, and stops
+    its own attempt at once.
     """
     results: list[list[RawCompletion]] = [[] for _ in prompts]
     ready = deque((index, 1) for index in range(len(prompts)))
@@ -332,10 +335,11 @@ def complete_all(backend: ReplayBackend | HttpBackend,
                 batch, failure = None, exc
 
     threads = [Thread(target=work, daemon=True)
-               for _ in range(min(config.max_in_flight, len(prompts)))]
+               for _ in range(min(config.max_in_flight, len(prompts)) - 1)]
     for thread in threads:
         thread.start()
     try:
+        work()
         for thread in threads:
             thread.join()
     except BaseException as exc:  # an interrupt also stops new attempts

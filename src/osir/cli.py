@@ -244,7 +244,7 @@ def aggregate(records_path: str, corpus_path: str, out_dir: str,
     verdicts = verdict_stage(load_records(records_path), articles)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = aggregate_stage(verdicts, articles, config, out)
+    rows, _ = aggregate_stage(verdicts, articles, config, out)
     for row in rows:
         click.echo(f"{row.group}: {row.publications} publications, "
                    f"{row.generated_pct}% generated, {row.reused_pct}% reused, "

@@ -241,13 +241,14 @@ def load_corpus(path: str | Path) -> list[Article]:
                            _article_row).values())
 
 
-def save_corpus(articles: Iterable[Article], path: str | Path) -> None:
+def save_corpus(articles: Iterable[Article], path: str | Path) -> str:
     """Serialize articles back to the line-delimited corpus format."""
-    write_jsonl(path, ({"id": a.id, "title": a.title, "body_markdown": a.body,
-                        "discipline": a.discipline, "region": a.region,
-                        **({} if a.published is None
-                           else {"published": a.published})}
-                       for a in articles))
+    return write_jsonl(path, ({"id": a.id, "title": a.title,
+                               "body_markdown": a.body,
+                               "discipline": a.discipline, "region": a.region,
+                               **({} if a.published is None
+                                  else {"published": a.published})}
+                              for a in articles))
 
 
 def truncate_middle(text: str, budget: int) -> tuple[str, bool]:

@@ -11,7 +11,7 @@ them would flatter the model.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -27,7 +27,7 @@ from .extraction import (
     parse_extraction,
 )
 from .grounding import DEFAULT_THRESHOLDS, Thresholds
-from .jsonl import write_json
+from .jsonl import field_dict, write_json
 from .scoring import accuracy_reward
 
 PASS1_MODES = ("mean", "first")
@@ -265,5 +265,10 @@ def render_report_table(report: EvalReport) -> str:
                      for name, p1, pk in [header, ["-" * n for n in w], *rows])
 
 
-def save_report(report: EvalReport, path: str | Path) -> None:
-    write_json(path, asdict(report))
+def save_report(report: EvalReport, path: str | Path) -> str:
+    return write_json(path, {
+        **field_dict(report),
+        "boolean_fields": {name: field_dict(m)
+                           for name, m in report.boolean_fields.items()},
+        "list_fields": {name: field_dict(m)
+                        for name, m in report.list_fields.items()}})

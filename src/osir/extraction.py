@@ -234,17 +234,19 @@ def load_completions(path: str | Path) -> list[RawCompletion]:
     return list(read_completions(path).values())
 
 
-def save_completions(completions: Iterable[RawCompletion], path: str | Path) -> None:
-    write_jsonl(path, map(field_dict, completions))
+def save_completions(completions: Iterable[RawCompletion],
+                     path: str | Path) -> str:
+    return write_jsonl(path, map(field_dict, completions))
 
 
-def save_records(samples: Iterable[Parsed], path: str | Path) -> None:
+def save_records(samples: Iterable[Parsed], path: str | Path) -> str:
     """One row (records.jsonl) per sample that parsed, in the order given:
     its key and its record's fields."""
-    write_jsonl(path, ({"article_id": article_id, "sample_index": sample_index,
-                        **field_dict(outcome.record)}
-                       for article_id, sample_index, outcome in samples
-                       if outcome.parsed))
+    return write_jsonl(path, ({"article_id": article_id,
+                               "sample_index": sample_index,
+                               **field_dict(outcome.record)}
+                              for article_id, sample_index, outcome in samples
+                              if outcome.parsed))
 
 
 def _record_row(payload: dict, line_no: int) -> tuple:
@@ -272,7 +274,7 @@ def load_gold(path: str | Path) -> list[GoldAnnotation]:
                            _gold_row).values())
 
 
-def save_gold(annotations: Iterable[GoldAnnotation], path: str | Path) -> None:
-    write_jsonl(path, ({"article_id": ann.article_id,
-                        **field_dict(ann.record)}
-                       for ann in annotations))
+def save_gold(annotations: Iterable[GoldAnnotation], path: str | Path) -> str:
+    return write_jsonl(path, ({"article_id": ann.article_id,
+                               **field_dict(ann.record)}
+                              for ann in annotations))

@@ -211,12 +211,12 @@ def accession_stats(verdicts: list[ArticleVerdict]) -> AccessionStats:
 INDICATOR_CSV_COLUMNS = tuple(f.name for f in fields(IndicatorRow))
 
 
-def save_indicator_rows(rows: Iterable[IndicatorRow], path: str | Path) -> None:
-    write_csv(path, INDICATOR_CSV_COLUMNS, map(astuple, rows))
+def save_indicator_rows(rows: Iterable[IndicatorRow], path: str | Path) -> str:
+    return write_csv(path, INDICATOR_CSV_COLUMNS, map(astuple, rows))
 
 
 def save_summary(trace: TraceCoverage, accessions: AccessionStats,
-                 path: str | Path) -> None:
+                 path: str | Path) -> str:
     payload = {
         "articles": trace.articles,
         "trace_coverage": {
@@ -232,8 +232,8 @@ def save_summary(trace: TraceCoverage, accessions: AccessionStats,
             "values": list(accessions.accessions),
         },
     }
-    write_json(path, payload)
+    return write_json(path, payload)
 
 
-def save_verdicts(verdicts: Iterable[ArticleVerdict], path: str | Path) -> None:
-    write_jsonl(path, map(field_dict, verdicts))
+def save_verdicts(verdicts: Iterable[ArticleVerdict], path: str | Path) -> str:
+    return write_jsonl(path, map(field_dict, verdicts))

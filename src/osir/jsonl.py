@@ -2,17 +2,22 @@
 and every artifact is written here; only pipeline.file_digest reads bytes.
 
 A JSON Lines file holds one JSON object per line. Writers sort keys and keep
-non-ASCII text as is, so equal rows give equal bytes.
+non-ASCII text as is, so equal rows give equal bytes. Each writer encodes its
+artifact to UTF-8 once, hashes the bytes as it writes them and returns their
+sha256, so no artifact is read back to be hashed.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
 import os
 import stat
 from dataclasses import fields
 from functools import cache
+from itertools import islice
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
@@ -88,20 +93,37 @@ def lone_surrogate(text: str) -> int | None:
 #: The encoder of every JSON Lines row; json.dumps would build one per row.
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
 
-
-def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(_ROW_ENCODER.encode(row))
-            fh.write("\n")
+#: The pieces (rows or lines) _write joins before it encodes, hashes and
+#: writes them.
+WRITE_BATCH = 256
 
 
-def write_csv(path: str | Path, header: Iterable, rows: Iterable) -> None:
-    """A CSV table: *header*, then *rows*, each line ended by "\\n"."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write(path: str | Path, pieces: Iterable[str]) -> str:
+    """Write *pieces* to *path* as UTF-8, WRITE_BATCH at a time, and return
+    the sha256 of the bytes written. A lone surrogate raises
+    UnicodeEncodeError."""
+    digest, pieces = hashlib.sha256(), iter(pieces)
+    with Path(path).open("wb") as fh:
+        while batch := list(islice(pieces, WRITE_BATCH)):
+            data = "".join(batch).encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
+
+
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> str:
+    """One row per line; returns the sha256 of the file."""
+    return _write(path, (f"{_ROW_ENCODER.encode(row)}\n" for row in rows))
+
+
+def write_csv(path: str | Path, header: Iterable, rows: Iterable) -> str:
+    """A CSV table: *header*, then *rows*, each line ended by "\\n"; returns
+    the sha256 of the file."""
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return _write(path, (table.getvalue(),))
 
 
 @cache
@@ -115,8 +137,8 @@ def field_dict(obj) -> dict:
     return {name: getattr(obj, name) for name in field_names(type(obj))}
 
 
-def write_json(path: str | Path, payload: dict) -> None:
-    """One indented JSON document with sorted keys and a final newline."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, ensure_ascii=False)
-        fh.write("\n")
+def write_json(path: str | Path, payload: dict) -> str:
+    """One indented JSON document with sorted keys and a final newline;
+    returns the sha256 of the file."""
+    return _write(path, (json.dumps(payload, sort_keys=True, indent=2,
+                                    ensure_ascii=False), "\n"))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -93,8 +93,9 @@ DIGEST_CHUNK = 64 * 1024
 
 
 def file_digest(path: str | Path) -> str:
-    """The sha256 of a file, read in DIGEST_CHUNK pieces so that a large
-    corpus is never held whole."""
+    """The sha256 of an input file, read in DIGEST_CHUNK pieces so that a
+    large corpus is never held whole. Outputs are hashed as they are
+    written."""
     digest = hashlib.sha256()
     with Path(path).open("rb") as fh:
         for chunk in iter(partial(fh.read, DIGEST_CHUNK), b""):
@@ -103,7 +104,7 @@ def file_digest(path: str | Path) -> str:
 
 
 def config_digest(config: PipelineConfig) -> str:
-    canonical = json.dumps(asdict(config), sort_keys=True,
+    canonical = json.dumps(field_dict(config), sort_keys=True,
                            separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -148,17 +149,17 @@ def prompt_stage(articles: list[Article],
     return prompts
 
 
-def save_prompts(prompts: list[PreparedPrompt], path: str | Path) -> None:
+def save_prompts(prompts: list[PreparedPrompt], path: str | Path) -> str:
     """One row per prompt (prompts.jsonl), without its text: the text is
     build_prompt's of the corpus article under the manifest's template
     version and token_budget, and prompt_sha256 is the sha256 of its UTF-8
     bytes. Each text is built for its hash and dropped."""
-    write_jsonl(path, ({"article_id": p.article_id,
-                        "prompt_sha256": hashlib.sha256(
-                            p.text.encode("utf-8")).hexdigest(),
-                        "token_count": p.token_count,
-                        "truncated": p.truncated}
-                       for p in prompts))
+    return write_jsonl(path, ({"article_id": p.article_id,
+                               "prompt_sha256": hashlib.sha256(
+                                   p.text.encode("utf-8")).hexdigest(),
+                               "token_count": p.token_count,
+                               "truncated": p.truncated}
+                              for p in prompts))
 
 
 def complete_stage(prompts: list[PreparedPrompt],
@@ -214,17 +215,20 @@ def verdict_stage(parsed: list[Parsed],
             for article_id in sorted(articles)]
 
 
-def aggregate_stage(verdicts: list[ArticleVerdict],
-                    articles: dict[str, Article], config: PipelineConfig,
-                    out_dir: Path) -> list[IndicatorRow]:
+def aggregate_stage(
+    verdicts: list[ArticleVerdict], articles: dict[str, Article],
+    config: PipelineConfig, out_dir: Path,
+) -> tuple[list[IndicatorRow], dict[str, str]]:
     """Write indicators.csv and summary.json under out_dir; return the
-    indicator rows."""
+    indicator rows and the sha256 of each file by its name."""
     with _failing_as("aggregate"):
         rows = aggregate_by(verdicts, config.group_by, articles)
         trace, accessions = trace_coverage(verdicts), accession_stats(verdicts)
-    save_indicator_rows(rows, out_dir / "indicators.csv")
-    save_summary(trace, accessions, out_dir / "summary.json")
-    return rows
+    return rows, {
+        "indicators.csv": save_indicator_rows(rows,
+                                              out_dir / "indicators.csv"),
+        "summary.json": save_summary(trace, accessions,
+                                     out_dir / "summary.json")}
 
 
 def run_pipeline(
@@ -242,10 +246,10 @@ def run_pipeline(
     out = Path(out_dir)
     stages: list[StageOutput] = []
 
-    def emit(name: str, *paths: Path) -> None:
-        stages.append(StageOutput(
-            name=name, paths=tuple(str(p.relative_to(out)) for p in paths),
-            digests=tuple(file_digest(p) for p in paths)))
+    def emit(name: str, written: dict[str, str]) -> None:
+        """Record a stage's outputs: file name under out -> sha256."""
+        stages.append(StageOutput(name, tuple(written),
+                                  tuple(written.values())))
 
     with _failing_as("ingest"):
         out.mkdir(parents=True, exist_ok=True)
@@ -254,30 +258,30 @@ def run_pipeline(
     articles_by_id = {a.id: a for a in articles}
 
     prompts = prompt_stage(articles, config)
-    save_prompts(prompts, out / "prompts.jsonl")
-    emit("prompt", out / "prompts.jsonl")
+    emit("prompt", {"prompts.jsonl": save_prompts(
+        prompts, out / "prompts.jsonl")})
 
     completions = complete_stage(prompts, config)
-    save_completions(completions, out / "completions.jsonl")
-    emit("complete", out / "completions.jsonl")
+    emit("complete", {"completions.jsonl": save_completions(
+        completions, out / "completions.jsonl")})
 
     parsed = parse_stage(completions)
     del completions  # saved and parsed: nothing reads the texts again
-    save_records(parsed, out / "records.jsonl")
-    emit("parse", out / "records.jsonl")
+    emit("parse", {"records.jsonl": save_records(
+        parsed, out / "records.jsonl")})
 
     if gold is not None:
-        write_jsonl(out / "rewards.jsonl",
-                    score_stage(parsed, articles_by_id,
-                                {g.article_id: g for g in gold}, config))
-        emit("score", out / "rewards.jsonl")
+        gold_by_id = {g.article_id: g for g in gold}
+        emit("score", {"rewards.jsonl": write_jsonl(
+            out / "rewards.jsonl",
+            score_stage(parsed, articles_by_id, gold_by_id, config))})
 
     verdicts = verdict_stage(parsed, articles_by_id)
-    save_verdicts(verdicts, out / "verdicts.jsonl")
-    emit("verdicts", out / "verdicts.jsonl")
+    emit("verdicts", {"verdicts.jsonl": save_verdicts(
+        verdicts, out / "verdicts.jsonl")})
 
-    aggregate_stage(verdicts, articles_by_id, config, out)
-    emit("aggregate", out / "indicators.csv", out / "summary.json")
+    _, written = aggregate_stage(verdicts, articles_by_id, config, out)
+    emit("aggregate", written)
 
     manifest = PipelineManifest(
         corpus_path=str(corpus_path),

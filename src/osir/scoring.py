@@ -90,6 +90,8 @@ def match_sets(
     maximum the pairs are greedy's. Pairs are listed by (similarity desc,
     predicted index, gold index).
     """
+    if not predicted or not gold:
+        return SetMatching((), 0, len(predicted), len(gold))
     pred_norm = [normalize_text(p) for p in predicted]
     gold_norm = [normalize_text(g) for g in gold]
     scored: list[tuple[float, int, int]] = []

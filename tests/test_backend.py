@@ -530,7 +530,7 @@ class TestScheduler:
             complete_all(HttpBackend(config), [prompt_for(i) for i in ids], 1,
                          config)
         assert len(_FlakyHandler.seen) <= 2 * config.max_in_flight
-        assert len(started) == config.max_in_flight
+        assert len(started) == config.max_in_flight - 1
         assert not any(thread.is_alive() for thread in started)
 
     def test_exhausted_attempts_name_the_article(self, flaky_server, started):
@@ -540,7 +540,7 @@ class TestScheduler:
                            match=r"unreachable for 'A' after 3 attempts: "
                                  r"HTTP 503"):
             self.run(self.config(flaky_server), "A")
-        assert len(started) == 1
+        assert len(started) == 0
         assert not any(thread.is_alive() for thread in started)
 
     def test_stress_every_result_in_prompt_order(self, started):
@@ -580,7 +580,7 @@ class TestScheduler:
                 for batch in out] == [[(i, 0), (i, 1)] for i in ids]
         assert sum(backend.attempts.values()) == 300 + 2 * 100
         assert backend.peak <= config.max_in_flight
-        assert len(started) == config.max_in_flight
+        assert len(started) == config.max_in_flight - 1
         assert not any(thread.is_alive() for thread in started)
 
 
@@ -675,8 +675,9 @@ class TestFaultSchedules:
 
 
 class TestWorkerThreads:
-    """complete_all starts no thread for no prompts, and raises the fatal
-    error itself, or exhaustion with the last failure as its cause."""
+    """complete_all runs one worker on the calling thread, so it starts no
+    thread for one worker or none, and raises the fatal error itself, or
+    exhaustion with the last failure as its cause."""
 
     def test_no_thread_for_no_prompts(self, started):
         class Unused:
@@ -685,6 +686,52 @@ class TestWorkerThreads:
 
         assert complete_all(Unused(), [], 3, PipelineConfig()) == []
         assert started == []
+
+    def test_one_worker_is_the_calling_thread(self, started):
+        class Recording:
+            def __init__(self):
+                self.idents = []
+
+            def complete(self, prompt, n):
+                self.idents.append(threading.get_ident())
+                if len(self.idents) == 1:
+                    raise RetryableError("HTTP 503", retry_after=0.0)
+                return [RawCompletion(prompt.article_id, 0, "t")]
+
+        backend = Recording()
+        out = complete_all(backend, [prompt_for(i) for i in "ABC"], 1,
+                           PipelineConfig(max_in_flight=1))
+        assert [batch[0].article_id for batch in out] == list("ABC")
+        assert backend.idents == [threading.get_ident()] * 4
+        assert started == []
+
+    def test_interrupt_of_the_calling_thread_is_fatal(self, started):
+        # one attempt on each worker: the calling thread's is interrupted
+        # while the started thread's is on the wire
+        caller = threading.get_ident()
+        sent, interrupted = threading.Event(), threading.Event()
+
+        class Interrupted:
+            def __init__(self):
+                self.ids = []
+
+            def complete(self, prompt, n):
+                self.ids.append(prompt.article_id)
+                if threading.get_ident() == caller:
+                    assert sent.wait(5)
+                    interrupted.set()
+                    raise KeyboardInterrupt
+                sent.set()
+                assert interrupted.wait(5)
+                return [RawCompletion(prompt.article_id, 0, "t")]
+
+        backend = Interrupted()
+        with pytest.raises(KeyboardInterrupt):
+            complete_all(backend, [prompt_for(str(i)) for i in range(6)], 1,
+                         PipelineConfig(max_in_flight=2))
+        assert sorted(backend.ids) == ["0", "1"]
+        assert len(started) == 1
+        assert not any(thread.is_alive() for thread in started)
 
     def test_fatal_error_is_raised_as_is(self, started):
         boom = ReplayFixtureError("no fixture completion for article '5'")
@@ -699,7 +746,7 @@ class TestWorkerThreads:
             complete_all(Fatal(), [prompt_for(str(i)) for i in range(40)], 1,
                          PipelineConfig(max_in_flight=3))
         assert err.value is boom
-        assert len(started) == 3
+        assert len(started) == 2
         assert not any(thread.is_alive() for thread in started)
 
     def test_exhausted_attempts_keep_the_cause(self, started):
@@ -720,7 +767,7 @@ class TestWorkerThreads:
             "backend unreachable for 'A' after 3 attempts: HTTP 503"
         assert err.value.__cause__ is backend.errors[-1]
         assert len(backend.errors) == 3
-        assert len(started) == 1
+        assert len(started) == 0
         assert not any(thread.is_alive() for thread in started)
 
 
@@ -754,7 +801,7 @@ class TestUnwaitableDelays:
                          config)
         assert str(err.value) == f"cannot wait {delay} s to retry 'a1'"
         assert isinstance(err.value.__cause__, RetryableError)
-        assert len(started) == 2
+        assert len(started) == 1
         assert not any(thread.is_alive() for thread in started)
 
     def test_backoff_beyond_a_float_is_fatal(self, started):

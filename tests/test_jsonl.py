@@ -1,5 +1,6 @@
 """The shared JSONL reader and writer, and the totality of every loader."""
 
+import hashlib
 import json
 
 import pytest
@@ -18,7 +19,14 @@ from osir.extraction import (
     load_gold,
     load_records,
 )
-from osir.jsonl import iter_jsonl, read_keyed, write_csv, write_jsonl
+from osir.jsonl import (
+    WRITE_BATCH,
+    iter_jsonl,
+    read_keyed,
+    write_csv,
+    write_json,
+    write_jsonl,
+)
 
 
 class LineError(ValueError):
@@ -111,6 +119,39 @@ def test_csv_writer_quotes_and_ends_lines_with_newline(tmp_path):
     write_csv(path, ("a", "b"), [(1, 'say "hi", é'), ("x\ny", 0.5)])
     assert path.read_bytes() == ('a,b\n1,"say ""hi"", é"\n"x\ny",0.5\n'
                                  .encode("utf-8"))
+
+
+#: Each writer with arguments that make a file of more than three batches of
+#: rows or lines, so that its bytes are hashed in several pieces.
+_WRITES = {
+    "jsonl": lambda path, value: write_jsonl(
+        path, [{"i": i, "s": value} for i in range(3 * WRITE_BATCH + 1)]),
+    "json": lambda path, value: write_json(
+        path, {"rows": [value] * (3 * WRITE_BATCH + 1)}),
+    "csv": lambda path, value: write_csv(
+        path, ("i", "s"), [(i, value) for i in range(3 * WRITE_BATCH + 1)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WRITES))
+class TestWritersHashWhatTheyWrite:
+    def test_returns_the_sha256_of_the_file(self, tmp_path, kind):
+        path = tmp_path / f"x.{kind}"
+        digest = _WRITES[kind](path, "é, 中")
+        assert len(path.read_bytes().splitlines()) > 3 * WRITE_BATCH
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_empty_or_short_file(self, tmp_path, kind):
+        path = tmp_path / f"x.{kind}"
+        writes = {"jsonl": lambda: write_jsonl(path, []),
+                  "json": lambda: write_json(path, {}),
+                  "csv": lambda: write_csv(path, (), [])}
+        digest = writes[kind]()
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_lone_surrogate_raises(self, tmp_path, kind):
+        with pytest.raises(UnicodeEncodeError):
+            _WRITES[kind](tmp_path / f"x.{kind}", "bad \ud800 text")
 
 
 # ---------------------------------------------------------------------------

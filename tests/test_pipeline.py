@@ -323,6 +323,57 @@ class TestSharedStages:
             "de133892c7ac89e5746e17fd4c1f5ed487584d753acbff1cc387b4475d1a97c6"
 
 
+def rewrite_texts(fixture, text):
+    """Replace every completion text of *fixture* with text(old text)."""
+    rows = [json.loads(line)
+            for line in fixture.read_text(encoding="utf-8").splitlines()]
+    write_jsonl(fixture, [{**row, "text": text(row["text"])} for row in rows])
+
+
+class TestHashAsWritten:
+    """The manifest's output digests are those the writers return, so
+    run_pipeline reads back no output, and they are the sha256 of the bytes
+    on disk."""
+
+    @pytest.mark.parametrize("with_gold, reads", [(True, 2), (False, 1)])
+    def test_only_inputs_are_read_to_be_hashed(self, tmp_path, monkeypatch,
+                                               with_gold, reads):
+        paths = build_replay_bundle(tmp_path, n_articles=3)
+        hashed = []
+
+        def counting_digest(path):
+            hashed.append(path)
+            return file_digest(path)
+
+        monkeypatch.setattr(osir.pipeline, "file_digest", counting_digest)
+        run_pipeline(paths["corpus"], tmp_path / "out",
+                     replay_config(paths["fixture"]),
+                     gold_path=paths["gold"] if with_gold else None)
+        assert hashed == [paths["corpus"], paths["gold"]][:reads]
+
+    @pytest.mark.parametrize("text, parses", [
+        (lambda old: f"Résumé, 中文 notes:\n{old}", True),
+        (lambda old: "No payload: é 中", False),
+    ], ids=["non-ascii", "all-unparseable"])
+    def test_output_digests_are_the_bytes_on_disk(self, tmp_path, text,
+                                                  parses):
+        paths = build_replay_bundle(tmp_path, n_articles=4)
+        rewrite_texts(paths["fixture"], text)
+        out = tmp_path / "out"
+        run_pipeline(paths["corpus"], out, replay_config(paths["fixture"]),
+                     gold_path=paths["gold"])
+        manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+        digests = {o["path"]: o["sha256"]
+                   for stage in manifest["stages"] for o in stage["outputs"]}
+        assert set(digests) == {p.name for p in out.iterdir()} - \
+            {"manifest.json"}
+        for name, digest in digests.items():
+            assert digest == hashlib.sha256(
+                (out / name).read_bytes()).hexdigest(), name
+        assert "中".encode() in (out / "completions.jsonl").read_bytes()
+        assert bool((out / "records.jsonl").read_bytes()) is parses
+
+
 class TestMemory:
     @pytest.mark.parametrize("size", [0, 1, DIGEST_CHUNK - 1, DIGEST_CHUNK,
                                       DIGEST_CHUNK + 1])
