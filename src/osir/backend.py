@@ -24,6 +24,7 @@ import os
 import time
 import weakref
 from collections import deque
+from datetime import timezone
 from functools import partial
 from pathlib import Path
 from threading import TIMEOUT_MAX, Condition, Thread, local
@@ -214,11 +215,20 @@ def _close_all(connections: list[HTTPConnection]) -> None:
 
 
 def _retry_after(header: str | None) -> float | None:
-    """A Retry-After header given as a non-negative number of seconds."""
+    """The delay a Retry-After header asks for: a non-negative number of
+    seconds, or an HTTP date, which asks for the seconds until it (0 once it
+    is past). None for any other value."""
     try:
         value = float(header)
     except (TypeError, ValueError):
-        return None
+        from email.utils import parsedate_to_datetime
+
+        try:
+            date = parsedate_to_datetime(header)
+        except (TypeError, ValueError):
+            return None
+        date = date.replace(tzinfo=date.tzinfo or timezone.utc)  # -0000
+        return max(0.0, date.timestamp() - time.time())
     return value if math.isfinite(value) and value >= 0 else None
 
 
@@ -256,17 +266,19 @@ def complete_all(backend: ReplayBackend | HttpBackend,
     prompt to wait out a delay, the server's Retry-After if it gave one,
     else backoff_base * 2**(attempt - 1), while its worker pulls the next
     prompt; once the delay is over the prompt queues behind those not yet
-    sent. The max_attempts-th failure, a delay longer than
-    threading.TIMEOUT_MAX, or any other error in a worker is fatal: no
-    attempt starts after it, the ones already running finish, and the error
-    is raised. An interrupt of the calling thread is fatal too, and stops
-    its own attempt at once.
+    sent. A Retry-After also pauses every worker: no attempt starts before
+    the latest time a server has asked for. The max_attempts-th failure, a
+    delay longer than threading.TIMEOUT_MAX, or any other error in a worker
+    is fatal: no attempt starts after it, the ones already running finish,
+    and the error is raised. An interrupt of the calling thread is fatal
+    too, and stops its own attempt at once.
     """
     results: list[list[RawCompletion]] = [[] for _ in prompts]
     ready = deque((index, 1) for index in range(len(prompts)))
     waiting: list[tuple[float, int, int]] = []  # (due, index, attempt)
     changed = Condition()
     running = 0
+    paused_until = -math.inf  # no attempt starts before it (Retry-After)
     fatal: BaseException | None = None
 
     def pull() -> tuple[int, int] | None:
@@ -278,17 +290,21 @@ def complete_all(backend: ReplayBackend | HttpBackend,
             while waiting and waiting[0][0] <= now:
                 _, index, attempt = heapq.heappop(waiting)
                 ready.append((index, attempt))
-            if ready:
+            if ready and paused_until <= now:
                 running += 1
                 return ready.popleft()
-            if not (waiting or running):
+            if not (ready or waiting or running):
                 return None
-            changed.wait(waiting[0][0] - now if waiting else None)
+            if ready:  # paused by a Retry-After
+                changed.wait(paused_until - now)
+            else:
+                changed.wait(waiting[0][0] - now if waiting else None)
         return None
 
     def settle(index: int, attempt: int, exc: BaseException) -> None:
         """Back off a retryable failure, or raise a fatal one; called
         holding *changed*."""
+        nonlocal paused_until
         article_id = prompts[index].article_id
         if not isinstance(exc, RetryableError):
             raise exc
@@ -305,8 +321,10 @@ def complete_all(backend: ReplayBackend | HttpBackend,
                                f"{article_id!r}") from exc
         log.warning("retrying %s after %s (attempt %d/%d, waiting %.2fs)",
                     article_id, exc, attempt, config.max_attempts, delay)
-        heapq.heappush(waiting, (time.monotonic() + delay, index,
-                                 attempt + 1))
+        due = time.monotonic() + delay
+        if exc.retry_after is not None:
+            paused_until = max(paused_until, due)
+        heapq.heappush(waiting, (due, index, attempt + 1))
 
     def work() -> None:
         """Settle the last attempt and pull the next, holding *changed*."""

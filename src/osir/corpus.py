@@ -101,9 +101,9 @@ class Article:
 
     @cached_property
     def grounding_memo(self) -> dict:
-        """grounding's results against this Article object, keyed by
-        (prepared candidate, threshold, exact_score), so that a string that
-        recurs across an article's samples or gold is grounded once."""
+        """grounding's decisions against this Article object, keyed by
+        (prepared candidate, threshold), so that a string that recurs across
+        an article's samples and gold is grounded once."""
         return {}
 
 

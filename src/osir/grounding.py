@@ -16,23 +16,22 @@ Contract for the window search (shared with the brute-force test oracle):
 One scanner, _best_window, runs the edit-distance recurrence of
 text.prefix_distances for many window starts at once, each start one lane of
 a Python int (the increased bit-parallelism of Hyyro, Fredriksson & Navarro).
-fuzzy_contains and filter_gold, which report an exact score for unmatched
-strings too, scan every start. The reward path needs only the decision, so
-it scans only the starts of windows that could reach the threshold t: such a
-window is within d = text.max_edits(t, floor(1.2 L)) edits of the
-candidate, so by the partition lemma (Baeza-Yates & Navarro) two of d + 2
-contiguous pieces of the candidate occur verbatim in it, each within d of
-the piece's own offset. str.find on the pieces gives each hit a range of
-starts, and a start is marked only where the ranges of two different pieces
-meet; a match found among the marked starts is the full scan's (score,
-span). Where the rule cannot apply (d + 2 > L, or an article shorter than
-the smallest window), every start is scanned.
+Every string is decided on the marked starts, those of windows that could
+reach the threshold t: such a window is within d = text.max_edits(t,
+floor(1.2 L)) edits of the candidate, so by the partition lemma (Baeza-Yates
+& Navarro) two of d + 2 contiguous pieces of the candidate occur verbatim in
+it, each within d of the piece's own offset. str.find on the pieces gives
+each hit a range of starts, and a start is marked only where the ranges of
+two different pieces meet; a match found among the marked starts is the full
+scan's (score, span). Where the rule cannot apply (d + 2 > L, or an article
+shorter than the smallest window), every start is scanned. A miss carries the
+best score of the marked starts, a lower bound; fuzzy_contains and
+filter_gold's diagnostics scan every start for its exact score.
 
-Each distinct (prepared string, threshold, exact_score) is grounded once per
-Article object: the results are kept in Article.grounding_memo, so the k
-samples of an article, which often repeat a string and the same copying
-mistake, share one search. The memo lives and dies with the Article; nothing
-is cached across loads of a corpus.
+Each distinct (prepared string, threshold) is decided once per Article
+object and kept in Article.grounding_memo, so the k samples and the gold of
+an article share one search; a miss's exact score is not kept. The memo lives
+and dies with the Article; nothing is cached across loads of a corpus.
 """
 
 from __future__ import annotations
@@ -70,10 +69,10 @@ class MatchResult:
     """Outcome of grounding one candidate string.
 
     A matched result carries the exact best window score and its span. An
-    unmatched result from fuzzy_contains or filter_gold carries the exact
-    best score; one from embellishment_reward, which needs only the decision,
-    carries a lower bound on it that is below the threshold: the best score
-    of the starts the two-vote filter marks, 0.0 where it marks none.
+    unmatched result from fuzzy_contains carries the exact best score; one
+    from embellishment_reward, which needs only the decision, carries a
+    lower bound on it that is below the threshold: the best score of the
+    starts the two-vote filter marks, 0.0 where it marks none.
     """
 
     candidate: str
@@ -261,9 +260,8 @@ def _pigeonhole_starts(art: str, cand: str, threshold: float
     return marks
 
 
-def _fuzzy_contains_normalized(
-    art_norm: str, candidate: str, threshold: float, exact_score: bool = True
-) -> MatchResult:
+def _fuzzy_contains_normalized(art_norm: str, candidate: str,
+                               threshold: float) -> MatchResult:
     cand_norm = normalize_text(candidate)
     if not cand_norm:
         raise ValueError("candidate must be non-empty after normalization")
@@ -271,12 +269,19 @@ def _fuzzy_contains_normalized(
     if idx != -1:
         return MatchResult(candidate=candidate, matched=True, score=1.0,
                            span=(idx, idx + len(cand_norm)))
-    score, span = _best_window(art_norm, cand_norm, None if exact_score
-                               else _pigeonhole_starts(art_norm, cand_norm,
-                                                       threshold))
+    score, span = _best_window(art_norm, cand_norm, _pigeonhole_starts(
+        art_norm, cand_norm, threshold))
     matched = score >= threshold
     return MatchResult(candidate=candidate, matched=matched, score=score,
                        span=span if matched and span[0] < span[1] else None)
+
+
+def _exact(art_norm: str, result: MatchResult) -> MatchResult:
+    """*result* with the exact best score: a miss decided on the marked
+    starts carries only a lower bound, so every start is scanned for it."""
+    return result if result.matched else MatchResult(
+        result.candidate, False,
+        _best_window(art_norm, normalize_text(result.candidate))[0])
 
 
 def fuzzy_contains(article_text: str, candidate: str, threshold: float) -> MatchResult:
@@ -285,16 +290,13 @@ def fuzzy_contains(article_text: str, candidate: str, threshold: float) -> Match
     Matching is insensitive to case and whitespace variation on both sides.
     threshold must lie in (0, 1].
     """
-    return _fuzzy_contains_normalized(normalize_text(article_text), candidate,
-                                      threshold)
+    art_norm = normalize_text(article_text)
+    return _exact(art_norm, _fuzzy_contains_normalized(art_norm, candidate,
+                                                       threshold))
 
 
-def _ground(
-    article: Article,
-    record: ExtractionRecord,
-    thresholds: Thresholds,
-    exact_score: bool,
-) -> dict[str, list[tuple[str, float, MatchResult]]]:
+def _ground(article: Article, record: ExtractionRecord, thresholds: Thresholds
+            ) -> dict[str, list[tuple[str, float, MatchResult]]]:
     """Per evidence field of *record*: (string, threshold, result) for each
     of its strings, grounded in *article* with the field kind's threshold.
     Results are memoized on *article* (Article.grounding_memo)."""
@@ -310,10 +312,7 @@ def _ground(
             # onto URLs.
             candidate = (strip_trailing_punct(value, extra="/") or value
                          if kind == "url" else value)
-            # An unmatched reward result carries only a lower bound on the
-            # score, so exact_score is part of the key: filter_gold is never
-            # served one.
-            key = (candidate, threshold, exact_score)
+            key = (candidate, threshold)
             result = memo.get(key)
             if result is None:
                 result = memo[key] = _fuzzy_contains_normalized(
@@ -340,8 +339,8 @@ def embellishment_reward(
     if mode not in EMBELLISHMENT_MODES:
         raise ValueError(f"unknown embellishment mode: {mode!r}")
     matches = {name: tuple(result for _, _, result in results)
-               for name, results in _ground(article, record, thresholds,
-                                            exact_score=False).items()}
+               for name, results in _ground(article, record,
+                                            thresholds).items()}
     total = sum(len(results) for results in matches.values())
     grounded = sum(m.matched for results in matches.values() for m in results)
     if total == 0:
@@ -381,7 +380,7 @@ def filter_gold(
     An annotation is removed iff at least one of its evidence strings fails
     fuzzy matching against its article (e.g. lost to markdown conversion or
     truncation). kept + removed partition the input; diagnostics name every
-    failing string with its best score.
+    failing string with its exact best score.
     """
     by_id = {a.id: a for a in corpus}
     kept: list[GoldAnnotation] = []
@@ -393,10 +392,11 @@ def filter_gold(
                 f"gold annotation references unknown article {ann.article_id!r}")
         diagnostics = [
             RemovalDiagnostic(article_id=ann.article_id, field=name,
-                              string=value, best_score=result.score,
-                              threshold=threshold)
-            for name, results in _ground(article, ann.record, thresholds,
-                                         exact_score=True).items()
+                              string=value, threshold=threshold,
+                              best_score=_exact(article.normalized_body,
+                                                result).score)
+            for name, results in _ground(article, ann.record,
+                                         thresholds).items()
             for value, threshold, result in results if not result.matched]
         if diagnostics:
             removed.append(RemovedAnnotation(ann, tuple(diagnostics)))

@@ -8,6 +8,8 @@ import subprocess
 import sys
 import threading
 import time
+from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime
 from http.client import HTTPSConnection
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
@@ -288,18 +290,51 @@ class TestHttpBackend:
         out = complete(prompt_for("A"), 1, self.config(flaky_server))
         assert len(out) == 1 and _FlakyHandler.seen == ["A"]
 
-    @pytest.mark.parametrize("header, seconds", [
-        ("0", 0.0), ("2.5", 2.5), ("-1", None), ("nan", None), ("inf", None),
-        ("Wed, 21 Oct 2026 07:28:00 GMT", None), (None, None)])
-    def test_retry_after_is_a_number_of_seconds(self, flaky_server, header,
-                                                 seconds):
+    def retry_after(self, endpoint: str, header: str | None) -> float | None:
+        """The retry_after of a 429 answered with *header* as Retry-After."""
         _FlakyHandler.failures_left = 1
         _FlakyHandler.failure_status = 429
         _FlakyHandler.failure_headers = {} if header is None else {
             "Retry-After": header}
         with pytest.raises(RetryableError) as err:
-            HttpBackend(self.config(flaky_server)).complete(prompt_for("A"), 1)
-        assert err.value.retry_after == seconds
+            HttpBackend(self.config(endpoint)).complete(prompt_for("A"), 1)
+        return err.value.retry_after
+
+    @pytest.mark.parametrize("header, seconds", [
+        ("0", 0.0), ("2.5", 2.5), ("-1", None), ("nan", None), ("inf", None),
+        (None, None)])
+    def test_retry_after_is_a_number_of_seconds(self, flaky_server, header,
+                                                 seconds):
+        assert self.retry_after(flaky_server, header) == seconds
+
+    @pytest.mark.parametrize("case", ["ahead", "past", "minus zero zone",
+                                      "day 32", "no date"])
+    def test_retry_after_http_date(self, flaky_server, case):
+        # an HTTP date asks for the seconds until it, and 0 once it is past
+        ahead = datetime.now(timezone.utc) + timedelta(seconds=30)
+        header, low, high = {
+            "ahead": (format_datetime(ahead, usegmt=True), 28, 30),
+            "past": ("Wed, 21 Oct 2015 07:28:00 GMT", 0, 0),
+            "minus zero zone": (format_datetime(ahead).replace(
+                "+0000", "-0000"), 28, 30),
+            "day 32": ("Sat, 32 Oct 2026 07:28:00 GMT", None, None),
+            "no date": ("soon", None, None),
+        }[case]
+        seconds = self.retry_after(flaky_server, header)
+        if low is None:
+            assert seconds is None
+        else:
+            assert low <= seconds <= high
+
+    def test_http_date_beyond_timeout_max_fails_the_run(self, flaky_server):
+        _FlakyHandler.failures_left = 1
+        _FlakyHandler.failure_status = 429
+        _FlakyHandler.failure_headers = {
+            "Retry-After": "Fri, 31 Dec 9999 23:59:59 GMT"}
+        with pytest.raises(BackendError,
+                           match=r"^cannot wait \d+\.\d+ s to retry 'A'$"):
+            complete(prompt_for("A"), 1, self.config(flaky_server))
+        assert _FlakyHandler.seen == ["A"]
 
     def test_auth_header_from_env(self, flaky_server, monkeypatch):
         _FlakyHandler.failures_left = 0
@@ -584,11 +619,32 @@ class TestScheduler:
         assert not any(thread.is_alive() for thread in started)
 
 
+class _Pause(RetryableError):
+    """A 429 whose Retry-After records each read: (thread, time). The
+    scheduler reads it holding its lock, before it sets the pause."""
+
+    def __init__(self, seconds: float):
+        self.reads = []
+        self.read = threading.Event()
+        super().__init__("HTTP 429", retry_after=seconds)
+
+    @property
+    def retry_after(self) -> float:
+        self.reads.append((threading.get_ident(), time.monotonic()))
+        self.read.set()
+        return self._seconds
+
+    @retry_after.setter
+    def retry_after(self, seconds: float) -> None:
+        self._seconds = seconds
+
+
 #: What a scripted backend does on one attempt: the error it raises, if any.
 OUTCOMES = {
     "success": lambda: None,
     "retry": lambda: RetryableError("HTTP 503"),
     "retry after 0": lambda: RetryableError("HTTP 429", retry_after=0),
+    "retry after a pause": lambda: _Pause(0.005),
     "fatal": lambda: BackendError("HTTP 400"),
     "crash": lambda: RuntimeError("crash"),
 }
@@ -603,11 +659,13 @@ class _Scripted:
                        for attempts in script]
         self.lock = threading.Lock()
         self.attempts = [0] * len(script)
+        self.starts = []  # (thread, time) of every attempt
         self.active = self.peak = 0
 
     def complete(self, prompt, n):
         index = int(prompt.article_id)
         with self.lock:
+            self.starts.append((threading.get_ident(), time.monotonic()))
             self.active += 1
             self.peak = max(self.peak, self.active)
             self.attempts[index] += 1
@@ -672,6 +730,66 @@ class TestFaultSchedules:
         assert max(backend.attempts) <= max_attempts
         assert not any(thread.is_alive()
                        for thread in started[first_thread:])
+        # No attempt starts inside a pause, except one pulled before it by
+        # a worker other than the one that read the Retry-After.
+        for error in (e for errors in backend.errors for e in errors):
+            if isinstance(error, _Pause) and error.reads:
+                reader, read = error.reads[0]
+                inside = [thread for thread, start in backend.starts
+                          if read < start < read + error.retry_after]
+                assert reader not in inside
+                assert len(inside) == len(set(inside))
+
+
+class TestRetryAfterPauses:
+    """A Retry-After pauses every worker of complete_all, not only the
+    prompt whose attempt got it."""
+
+    def test_pause_delays_the_other_worker(self, started):
+        # A gets a 429 asking for 0.2 s while B is on the wire. B returns
+        # once the scheduler has read the header, so its worker's next
+        # attempt, C's, is pulled inside the pause.
+        pause = _Pause(0.2)
+
+        class Backend:
+            def __init__(self):
+                self.starts = {}
+
+            def complete(self, prompt, n):
+                self.starts.setdefault(prompt.article_id, time.monotonic())
+                if prompt.article_id == "A" and not pause.reads:
+                    self.failed = time.monotonic()
+                    raise pause
+                if prompt.article_id == "B":
+                    assert pause.read.wait(5)
+                return [RawCompletion(prompt.article_id, 0, "t")]
+
+        backend = Backend()
+        out = complete_all(backend, [prompt_for(i) for i in "ABC"], 1,
+                           PipelineConfig(max_in_flight=2))
+        assert [batch[0].article_id for batch in out] == list("ABC")
+        assert backend.starts["C"] - backend.failed >= 0.2
+        assert len(started) == 1
+
+    def test_retry_after_zero_sets_no_timer(self, monkeypatch, started):
+        # the bench's stub sends Retry-After: 0; no worker then waits on a
+        # timer, so the pause changes nothing
+        waits = []
+
+        class Recorded(threading.Condition):
+            def wait(self, timeout=None):
+                waits.append(timeout)
+                return super().wait(timeout)
+
+        monkeypatch.setattr("osir.backend.Condition", Recorded)
+        backend = _Scripted([["retry after 0", "success"]] * 6)
+        out = complete_all(backend, [prompt_for(str(i)) for i in range(6)],
+                           1, PipelineConfig(max_in_flight=2,
+                                             backoff_base=30.0))
+        assert [batch[0].article_id for batch in out] == \
+            [str(i) for i in range(6)]
+        assert backend.attempts == [2] * 6
+        assert all(timeout is None for timeout in waits)
 
 
 class TestWorkerThreads:

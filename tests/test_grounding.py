@@ -258,9 +258,11 @@ class TestFuzzyContains:
 
 class TestEmbellishmentReward:
     def test_decision_equals_oracle(self):
-        """The reward path decides exactly as the full window enumeration;
-        a match carries the full search's (score, span), a miss a score
-        below the threshold and no higher than the true best."""
+        """The reward path and fuzzy_contains decide exactly as the full
+        window enumeration. A match carries the full search's (score,
+        span); a miss carries, from the reward, a score below the threshold
+        and no higher than the true best, and from fuzzy_contains the true
+        best."""
         for art, cand in _decision_cases(2024, 400):
             expected = oracle_windowed_score(art, cand)
             full = _best_window(normalize_text(art), normalize_text(cand))
@@ -270,11 +272,17 @@ class TestEmbellishmentReward:
                 report = embellishment_reward(
                     article, record, Thresholds(identifier=t, citation=t))
                 (result,) = report.matches["new_data_accessions"]
-                assert result.matched == (expected >= t), (art, cand, t)
+                contains = fuzzy_contains(art, cand, t)
+                assert result.matched == contains.matched == (expected >= t), \
+                    (art, cand, t)
                 if result.matched:
                     assert (result.score, result.span) == full, (art, cand, t)
+                    assert contains == result, (art, cand, t)
                 else:
                     assert result.score < t and result.score <= expected
+                    assert contains.score == pytest.approx(
+                        expected, abs=1e-9), (art, cand, t)
+                    assert contains.span is None
 
     @pytest.mark.parametrize("body", ["zz abcdexfghi zz", "zz abxcdefghi zz"])
     def test_one_insertion_scores_exactly_the_threshold(self, body):
@@ -507,6 +515,50 @@ def window_scans(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def full_scans(monkeypatch):
+    """The candidates passed to _best_window with no marks, one entry per
+    call: the scans of every start."""
+    calls = []
+
+    def counted(art, cand, starts=None):
+        if starts is None:
+            calls.append(cand)
+        return _best_window(art, cand, starts)
+
+    monkeypatch.setattr(grounding, "_best_window", counted)
+    return calls
+
+
+class TestOnlyAMissScansEveryStart:
+    """A string is decided on the marked starts; fuzzy_contains and
+    filter_gold scan every start only for the exact score of a miss."""
+
+    def test_matched_near_miss_scans_no_start_unmarked(self, full_scans):
+        result = fuzzy_contains(MEMO_BODY, NEAR_MISS, 0.9)
+        assert result.matched and 0.9 <= result.score < 1.0
+        record = make_record(reuse_data_citations=(NEAR_MISS,))
+        kept, removed = filter_gold([make_article("A1", MEMO_BODY)],
+                                    [GoldAnnotation("A1", record)])
+        assert len(kept) == 1 and not removed
+        assert full_scans == []
+
+    @pytest.mark.parametrize("miss", ["GSE999999", "GSE123465",
+                                      "Nobody et al. (1999) Unrelated work"])
+    def test_miss_scans_every_start_once(self, full_scans, miss):
+        result = fuzzy_contains(MEMO_BODY, miss, 0.95)
+        assert not result.matched
+        assert result.score == pytest.approx(
+            oracle_windowed_score(MEMO_BODY, miss), abs=1e-9)
+        assert full_scans == [normalize_text(miss)]
+        record = make_record(new_data_accessions=(miss,))
+        _, (removed,) = filter_gold([make_article("A1", MEMO_BODY)],
+                                    [GoldAnnotation("A1", record)])
+        (diagnostic,) = removed.diagnostics
+        assert diagnostic.best_score == result.score
+        assert full_scans == [normalize_text(miss)] * 2
+
+
 class TestGroundingMemo:
     def test_recurring_string_scanned_once(self, window_scans):
         article = make_article("A1", MEMO_BODY)
@@ -551,6 +603,16 @@ class TestGroundingMemo:
         # and the reward after filter_gold still gets its own result
         assert embellishment_reward(article, record).matches[
             "new_data_accessions"] == (bound,)
+
+    def test_reward_and_filter_gold_share_one_search(self, window_scans):
+        article = make_article("A1", MEMO_BODY)
+        record = make_record(reuse_data_citations=(NEAR_MISS,))
+        (near,) = embellishment_reward(article, record).matches[
+            "reuse_data_citations"]
+        kept, _ = filter_gold([article], [GoldAnnotation("A1", record)])
+        assert len(kept) == 1
+        assert window_scans == [normalize_text(NEAR_MISS)]
+        assert article.grounding_memo == {(NEAR_MISS, 0.9): near}
 
     def test_loads_share_no_memo(self, tmp_path, window_scans):
         path = write_jsonl(tmp_path / "corpus.jsonl",
