@@ -23,7 +23,6 @@ import math
 import os
 import time
 import weakref
-from collections import deque
 from datetime import timezone
 from functools import partial
 from pathlib import Path
@@ -262,20 +261,22 @@ def complete_all(backend: ReplayBackend | HttpBackend,
     min(max_in_flight, len(prompts)) workers each pull the next attempt,
     run it, and pull again, so at most max_in_flight attempts run at a time.
     The calling thread is one of the workers and starts the others as
-    threads, so a single worker starts none. A RetryableError sends its
-    prompt to wait out a delay, the server's Retry-After if it gave one,
-    else backoff_base * 2**(attempt - 1), while its worker pulls the next
-    prompt; once the delay is over the prompt queues behind those not yet
-    sent. A Retry-After also pauses every worker: no attempt starts before
-    the latest time a server has asked for. The max_attempts-th failure, a
-    delay longer than threading.TIMEOUT_MAX, or any other error in a worker
-    is fatal: no attempt starts after it, the ones already running finish,
-    and the error is raised. An interrupt of the calling thread is fatal
-    too, and stops its own attempt at once.
+    threads, so a single worker starts none. A RetryableError makes its
+    prompt's next attempt due after a delay, the server's Retry-After if it
+    gave one, else backoff_base * 2**(attempt - 1), and its worker pulls
+    another attempt meanwhile. Attempts start in one order: every first
+    attempt in prompt order, then each retry once it is due, by due time
+    and then prompt index. A Retry-After also pauses every worker: no
+    attempt starts before the latest time a server has asked for. The
+    max_attempts-th failure, a delay longer than threading.TIMEOUT_MAX, or
+    any other error in a worker is fatal: no attempt starts after it, the
+    ones already running finish, and the error is raised. An interrupt of
+    the calling thread is fatal too, and stops its own attempt at once.
     """
     results: list[list[RawCompletion]] = [[] for _ in prompts]
-    ready = deque((index, 1) for index in range(len(prompts)))
-    waiting: list[tuple[float, int, int]] = []  # (due, index, attempt)
+    # (due, index, attempt) of every attempt not yet started, as a heap; a
+    # first attempt is due at once and before any retry
+    pending = [(-math.inf, index, 1) for index in range(len(prompts))]
     changed = Condition()
     running = 0
     paused_until = -math.inf  # no attempt starts before it (Retry-After)
@@ -285,20 +286,13 @@ def complete_all(backend: ReplayBackend | HttpBackend,
         """The next attempt to run, or None once there is none to wait
         for; called holding *changed*."""
         nonlocal running
-        while fatal is None:
-            now = time.monotonic()
-            while waiting and waiting[0][0] <= now:
-                _, index, attempt = heapq.heappop(waiting)
-                ready.append((index, attempt))
-            if ready and paused_until <= now:
+        while fatal is None and (pending or running):
+            wait = (max(pending[0][0], paused_until) - time.monotonic()
+                    if pending else None)
+            if wait is not None and wait <= 0:
                 running += 1
-                return ready.popleft()
-            if not (ready or waiting or running):
-                return None
-            if ready:  # paused by a Retry-After
-                changed.wait(paused_until - now)
-            else:
-                changed.wait(waiting[0][0] - now if waiting else None)
+                return heapq.heappop(pending)[1:]
+            changed.wait(wait)
         return None
 
     def settle(index: int, attempt: int, exc: BaseException) -> None:
@@ -324,7 +318,7 @@ def complete_all(backend: ReplayBackend | HttpBackend,
         due = time.monotonic() + delay
         if exc.retry_after is not None:
             paused_until = max(paused_until, due)
-        heapq.heappush(waiting, (due, index, attempt + 1))
+        heapq.heappush(pending, (due, index, attempt + 1))
 
     def work() -> None:
         """Settle the last attempt and pull the next, holding *changed*."""

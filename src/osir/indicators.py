@@ -30,9 +30,7 @@ def percent_half_up(count: int, total: int) -> int:
 
 def percent_one_decimal(count: int, total: int) -> float:
     """One-decimal percentage, round-half-up."""
-    if total == 0:
-        return 0.0
-    return (2000 * count + total) // (2 * total) / 10
+    return percent_half_up(10 * count, total) / 10
 
 
 @dataclass(frozen=True)

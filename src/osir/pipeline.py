@@ -254,8 +254,12 @@ def run_pipeline(
     with _failing_as("ingest"):
         out.mkdir(parents=True, exist_ok=True)
         articles = load_corpus(corpus_path)
-        gold = None if gold_path is None else load_gold(gold_path)
+        gold = None if gold_path is None else {
+            g.article_id: g for g in load_gold(gold_path)}
     articles_by_id = {a.id: a for a in articles}
+    gap = [a.id for a in articles if gold is not None and a.id not in gold]
+    if gap:  # found before any completion is paid for
+        raise PipelineError("ingest", "no gold annotation", gap[0])
 
     prompts = prompt_stage(articles, config)
     emit("prompt", {"prompts.jsonl": save_prompts(
@@ -271,10 +275,9 @@ def run_pipeline(
         parsed, out / "records.jsonl")})
 
     if gold is not None:
-        gold_by_id = {g.article_id: g for g in gold}
         emit("score", {"rewards.jsonl": write_jsonl(
             out / "rewards.jsonl",
-            score_stage(parsed, articles_by_id, gold_by_id, config))})
+            score_stage(parsed, articles_by_id, gold, config))})
 
     verdicts = verdict_stage(parsed, articles_by_id)
     emit("verdicts", {"verdicts.jsonl": save_verdicts(

@@ -556,6 +556,14 @@ class TestScheduler:
         assert _FlakyHandler.seen == ["A", "B", "C", "D", "A"]
         assert [batch[0].article_id for batch in out] == list("ABCD")
 
+    def test_a_retry_due_at_once_waits_behind_unsent_prompts(
+            self, flaky_server):
+        _FlakyHandler.failures_left = 1
+        _FlakyHandler.failure_status = 503
+        out = self.run(self.config(flaky_server, backoff_base=0), "ABCD")
+        assert _FlakyHandler.seen == ["A", "B", "C", "D", "A"]
+        assert [batch[0].article_id for batch in out] == list("ABCD")
+
     def test_fatal_error_drains_no_queue(self, flaky_server, started):
         _FlakyHandler.failures_left = 1
         _FlakyHandler.failure_status = 400
@@ -660,12 +668,14 @@ class _Scripted:
         self.lock = threading.Lock()
         self.attempts = [0] * len(script)
         self.starts = []  # (thread, time) of every attempt
+        self.order = []  # the article index of every attempt
         self.active = self.peak = 0
 
     def complete(self, prompt, n):
         index = int(prompt.article_id)
         with self.lock:
             self.starts.append((threading.get_ident(), time.monotonic()))
+            self.order.append(index)
             self.active += 1
             self.peak = max(self.peak, self.active)
             self.attempts[index] += 1
@@ -728,6 +738,9 @@ class TestFaultSchedules:
                                           for i in ids]
         assert backend.peak <= max_in_flight
         assert max(backend.attempts) <= max_attempts
+        if max_in_flight == 1:  # every prompt is sent once before a retry
+            first = backend.order[:len(script)]
+            assert first == list(range(len(first)))
         assert not any(thread.is_alive()
                        for thread in started[first_thread:])
         # No attempt starts inside a pause, except one pulled before it by

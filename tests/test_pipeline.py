@@ -92,6 +92,23 @@ class TestRunPipeline:
         assert info.value.stage == "ingest"
         assert backend.threads == set()
 
+    def test_gold_gap_fails_in_ingest_before_any_request(self, tmp_path,
+                                                         monkeypatch):
+        paths = build_replay_bundle(tmp_path, n_articles=3)
+        rows = paths["gold"].read_text().splitlines(keepends=True)
+        paths["gold"].write_text(rows[0])  # art-001 and art-002 lack gold
+        backend = CountingBackend(delay=0)
+        monkeypatch.setattr(osir.pipeline, "make_backend",
+                            lambda config: backend)
+        out = tmp_path / "out"
+        with pytest.raises(PipelineError, match="no gold annotation") as info:
+            run_pipeline(paths["corpus"], out, replay_config(paths["fixture"]),
+                         gold_path=paths["gold"])
+        assert (info.value.stage, info.value.article_id) == \
+            ("ingest", "art-001")
+        assert backend.threads == set()
+        assert not (out / "prompts.jsonl").exists()
+
     def test_all_stages_with_gold(self, tmp_path):
         paths = build_replay_bundle(tmp_path, n_articles=3)
         out = tmp_path / "out"
