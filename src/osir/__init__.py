@@ -59,6 +59,6 @@ from .indicators import (
 )
 from .backend import complete
 from .config import PipelineConfig, load_config
-from .pipeline import PipelineManifest, run_pipeline
+from .pipeline import run_pipeline
 
 __version__ = "0.1.0"

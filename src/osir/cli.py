@@ -268,10 +268,11 @@ def run(corpus_path: str, gold_path: str | None, out_dir: str,
     """Run the full pipeline and write a digest manifest."""
     config = load_config(config_path, **overrides)
     manifest = run_pipeline(corpus_path, out_dir, config, gold_path)
-    click.echo(f"{len(manifest.stages)} stages -> {out_dir}")
-    for stage in manifest.stages:
-        for path, digest in zip(stage.paths, stage.digests):
-            click.echo(f"  {stage.name}: {path} sha256:{digest[:12]}")
+    click.echo(f"{len(manifest['stages'])} stages -> {out_dir}")
+    for stage in manifest["stages"]:
+        for output in stage["outputs"]:
+            click.echo(f"  {stage['name']}: {output['path']} "
+                       f"sha256:{output['sha256'][:12]}")
 
 
 if __name__ == "__main__":

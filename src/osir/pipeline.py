@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -69,24 +68,6 @@ class PipelineError(RuntimeError):
         super().__init__(f"{where}: {message}")
 
 
-@dataclass(frozen=True)
-class StageOutput:
-    name: str
-    paths: tuple[str, ...]  # relative to the manifest's directory
-    digests: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class PipelineManifest:
-    corpus_path: str
-    corpus_digest: str
-    gold_path: str | None
-    gold_digest: str | None
-    config_digest: str
-    prompt_template_version: str
-    stages: tuple[StageOutput, ...]
-
-
 #: The bytes file_digest reads at a time. Each read allocates a whole chunk,
 #: even for a file of a few bytes, so the chunk is kept small.
 DIGEST_CHUNK = 64 * 1024
@@ -109,19 +90,20 @@ def config_digest(config: PipelineConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def manifest_to_payload(manifest: PipelineManifest) -> dict:
+def manifest_to_payload(corpus_path: str | Path,
+                        gold_path: str | Path | None,
+                        config: PipelineConfig, stages: list[dict]) -> dict:
+    """The manifest of a run: its inputs with their sha256, the config's
+    sha256, the prompt template version and *stages*, each a name and its
+    outputs (path relative to the manifest's directory, sha256)."""
     return {
-        "corpus": {"path": manifest.corpus_path, "sha256": manifest.corpus_digest},
-        "gold": (None if manifest.gold_path is None else
-                 {"path": manifest.gold_path, "sha256": manifest.gold_digest}),
-        "config_sha256": manifest.config_digest,
-        "prompt_template_version": manifest.prompt_template_version,
-        "stages": [
-            {"name": s.name,
-             "outputs": [{"path": p, "sha256": d}
-                         for p, d in zip(s.paths, s.digests)]}
-            for s in manifest.stages
-        ],
+        "corpus": {"path": str(corpus_path),
+                   "sha256": file_digest(corpus_path)},
+        "gold": None if gold_path is None else {
+            "path": str(gold_path), "sha256": file_digest(gold_path)},
+        "config_sha256": config_digest(config),
+        "prompt_template_version": PROMPT_TEMPLATE_VERSION,
+        "stages": stages,
     }
 
 
@@ -236,20 +218,21 @@ def run_pipeline(
     out_dir: str | Path,
     config: PipelineConfig,
     gold_path: str | Path | None = None,
-) -> PipelineManifest:
+) -> dict:
     """Run every stage over the corpus and write all artifacts under out_dir.
 
     Any stage failure aborts with the stage name (and article id where
-    known). Returns the manifest, which is also written to
-    out_dir/manifest.json.
+    known). Returns the manifest it writes to out_dir/manifest.json, as
+    json.loads reads that file back.
     """
     out = Path(out_dir)
-    stages: list[StageOutput] = []
+    stages: list[dict] = []
 
     def emit(name: str, written: dict[str, str]) -> None:
         """Record a stage's outputs: file name under out -> sha256."""
-        stages.append(StageOutput(name, tuple(written),
-                                  tuple(written.values())))
+        stages.append({"name": name, "outputs": [
+            {"path": path, "sha256": digest}
+            for path, digest in written.items()]})
 
     with _failing_as("ingest"):
         out.mkdir(parents=True, exist_ok=True)
@@ -286,14 +269,6 @@ def run_pipeline(
     _, written = aggregate_stage(verdicts, articles_by_id, config, out)
     emit("aggregate", written)
 
-    manifest = PipelineManifest(
-        corpus_path=str(corpus_path),
-        corpus_digest=file_digest(corpus_path),
-        gold_path=None if gold_path is None else str(gold_path),
-        gold_digest=None if gold_path is None else file_digest(gold_path),
-        config_digest=config_digest(config),
-        prompt_template_version=PROMPT_TEMPLATE_VERSION,
-        stages=tuple(stages),
-    )
-    write_json(out / "manifest.json", manifest_to_payload(manifest))
+    manifest = manifest_to_payload(corpus_path, gold_path, config, stages)
+    write_json(out / "manifest.json", manifest)
     return manifest

@@ -1,6 +1,7 @@
 """CLI subcommands exercised through click's test runner."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -347,6 +348,30 @@ class TestRun:
         assert result.exit_code == 0, result.output
         assert "6 stages" in result.output
         assert (out_dir / "manifest.json").exists()
+
+    @pytest.mark.parametrize("with_gold", [True, False])
+    def test_stdout_lists_every_output_in_manifest_order(self, runner, bundle,
+                                                         tmp_path, with_gold):
+        out_dir = tmp_path / "run"
+        gold = ["--gold", str(bundle["gold"])] if with_gold else []
+        result = runner.invoke(main, [
+            "run", "--corpus", str(bundle["corpus"]), *gold,
+            "--backend", "replay", "--fixture", str(bundle["fixture"]),
+            "--out", str(out_dir),
+        ])
+        assert result.exit_code == 0, result.output
+        outputs = [("prompt", "prompts.jsonl"),
+                   ("complete", "completions.jsonl"),
+                   ("parse", "records.jsonl"),
+                   *([("score", "rewards.jsonl")] if with_gold else []),
+                   ("verdicts", "verdicts.jsonl"),
+                   ("aggregate", "indicators.csv"),
+                   ("aggregate", "summary.json")]
+        stages = len({stage for stage, _ in outputs})
+        assert result.output == f"{stages} stages -> {out_dir}\n" + "".join(
+            f"  {stage}: {name} sha256:"
+            f"{hashlib.sha256((out_dir / name).read_bytes()).hexdigest()[:12]}\n"
+            for stage, name in outputs)
 
     def test_config_file_drives_run(self, runner, bundle, tmp_path):
         config_path = tmp_path / "osir.json"

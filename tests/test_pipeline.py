@@ -115,18 +115,18 @@ class TestRunPipeline:
         manifest = run_pipeline(paths["corpus"], out,
                                 replay_config(paths["fixture"]),
                                 gold_path=paths["gold"])
-        assert [s.name for s in manifest.stages] == \
+        assert [s["name"] for s in manifest["stages"]] == \
             ["prompt", "complete", "parse", "score", "verdicts", "aggregate"]
-        for stage in manifest.stages:
-            for rel in stage.paths:
-                assert (out / rel).exists()
+        for stage in manifest["stages"]:
+            for output in stage["outputs"]:
+                assert (out / output["path"]).exists()
         assert (out / "manifest.json").exists()
 
     def test_no_gold_skips_score(self, tmp_path):
         paths = build_replay_bundle(tmp_path, n_articles=3)
         manifest = run_pipeline(paths["corpus"], tmp_path / "out",
                                 replay_config(paths["fixture"]))
-        assert [s.name for s in manifest.stages] == \
+        assert [s["name"] for s in manifest["stages"]] == \
             ["prompt", "complete", "parse", "verdicts", "aggregate"]
 
     def test_digests_stable_across_reruns(self, tmp_path):
@@ -136,7 +136,7 @@ class TestRunPipeline:
         for run_dir in ("run1", "run2"):
             manifest = run_pipeline(paths["corpus"], tmp_path / run_dir, config,
                                     gold_path=paths["gold"])
-            digests.append([s.digests for s in manifest.stages])
+            digests.append([s["outputs"] for s in manifest["stages"]])
         assert digests[0] == digests[1]
 
     def test_deleting_intermediates_regenerates_identically(self, tmp_path):
@@ -178,6 +178,16 @@ class TestRunPipeline:
         assert payload["prompt_template_version"]
         assert all(o["sha256"] for s in payload["stages"]
                    for o in s["outputs"])
+
+    @pytest.mark.parametrize("with_gold", [True, False])
+    def test_returns_the_manifest_it_writes(self, tmp_path, with_gold):
+        paths = build_replay_bundle(tmp_path, n_articles=2)
+        out = tmp_path / "out"
+        manifest = run_pipeline(paths["corpus"], out,
+                                replay_config(paths["fixture"]),
+                                gold_path=paths["gold"] if with_gold else None)
+        assert manifest == json.loads(
+            (out / "manifest.json").read_text("utf-8"))
 
     @pytest.mark.parametrize("budget", [None, PREAMBLE_TOKENS + 10])
     def test_prompt_rows_rebuild_from_the_corpus(self, tmp_path, budget):
@@ -287,7 +297,7 @@ class TestRunPipeline:
                 endpoint=f"http://127.0.0.1:{server.server_port}/complete",
                 max_in_flight=1, backoff_base=0.01)
             manifest = run_pipeline(paths["corpus"], tmp_path / "out", config)
-            assert [s.name for s in manifest.stages] == \
+            assert [s["name"] for s in manifest["stages"]] == \
                 ["prompt", "complete", "parse", "verdicts", "aggregate"]
             # stub completions carry no payload, so every verdict is unresolved
             verdicts = [json.loads(line) for line in
