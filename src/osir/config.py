@@ -101,6 +101,8 @@ def _coerce(key: str, value, text: bool = False) -> object:
                 kind, str)(value)
         if isinstance(value, bool) or not isinstance(value, _VALUE_TYPES[kind]):
             raise TypeError(f"expected {kind}")
+        if isinstance(value, str) and lone_surrogate(value) is not None:
+            raise ValueError("not UTF-8 text")
         if kind == "dict":
             json.dumps(value, allow_nan=False)  # a request body cannot hold NaN
         return float(value) if kind == "float" else value

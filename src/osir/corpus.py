@@ -16,7 +16,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
-from .jsonl import lone_surrogate, read_keyed, write_jsonl
+from .jsonl import check_utf8, read_keyed, write_jsonl
 from .text import normalize_text
 
 TRUNCATION_MARKER = "[TRUNCATED]"
@@ -207,31 +207,24 @@ def _cut(text: str, cuts: tuple[int, int]) -> str:
     return f"{prefix}\n{TRUNCATION_MARKER}\n{suffix}"
 
 
-def _article_row(payload: dict, line_no: int) -> tuple[str, Article]:
+def _article_row(payload: dict) -> tuple[str, Article]:
     art_id = payload.get("id")
     body = payload.get("body_markdown")
     if not isinstance(art_id, str) or not art_id:
-        raise CorpusError(f"line {line_no}: missing or empty 'id'")
+        raise ValueError("missing or empty 'id'")
     if not isinstance(body, str) or not body:
-        raise CorpusError(f"line {line_no}: missing or empty 'body_markdown'")
+        raise ValueError("missing or empty 'body_markdown'")
     for key in ("title", "region", "published"):
         if payload.get(key) is not None and not isinstance(payload[key], str):
-            raise CorpusError(
-                f"line {line_no}: {key!r} must be a string if present")
+            raise ValueError(f"{key!r} must be a string if present")
     for key in ("id", "title", "body_markdown", "region"):
-        at = lone_surrogate(payload.get(key) or "")
-        if at is not None:
-            raise CorpusError(
-                f"line {line_no}: {key!r} holds a lone surrogate at index {at}")
+        check_utf8(repr(key), payload.get(key) or "")
     discipline = payload.get("discipline")
-    try:
-        return art_id, Article(
-            id=art_id, title=payload.get("title") or "", body=body,
-            discipline=discipline if discipline in DISCIPLINES else "Unknown",
-            region=payload.get("region") or "Unknown",
-            published=payload.get("published"))
-    except ValueError as exc:
-        raise CorpusError(f"line {line_no}: {exc}") from exc
+    return art_id, Article(
+        id=art_id, title=payload.get("title") or "", body=body,
+        discipline=discipline if discipline in DISCIPLINES else "Unknown",
+        region=payload.get("region") or "Unknown",
+        published=payload.get("published"))
 
 
 def load_corpus(path: str | Path) -> list[Article]:

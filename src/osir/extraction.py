@@ -4,7 +4,8 @@ A completion is expected to carry one JSON object with two boolean judgments,
 eight evidence lists, and two optional free-text descriptions. Parsing is
 total: malformed completions become a FormatFailure outcome, never an
 exception. Field kinds are checked strictly (no "true" -> True coercion),
-because the binary format reward gates on them.
+because the binary format reward gates on them, and no string may hold a lone
+surrogate. The same rules load records and gold lines, naming the line.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 from typing import Iterable
 
-from .jsonl import field_dict, lone_surrogate, read_keyed, write_jsonl
+from .jsonl import check_utf8, field_dict, read_keyed, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -117,34 +118,37 @@ def _first_json_object(text: str) -> dict | None:
     return None
 
 
-def _record_from_payload(payload: dict) -> tuple[ExtractionRecord | None, str | None]:
+def _record_from_payload(payload: dict) -> ExtractionRecord:
+    """The record *payload* holds; ValueError gives why it holds none."""
     kwargs: dict = {}
     for name in BOOLEAN_FIELDS:
         if name not in payload:
-            return None, f"missing field {name}"
+            raise ValueError(f"missing field {name}")
         value = payload[name]
         if not isinstance(value, bool):
-            return None, f"field {name} must be a boolean, got {type(value).__name__}"
+            raise ValueError(
+                f"field {name} must be a boolean, got {type(value).__name__}")
         kwargs[name] = value
     for name in LIST_FIELDS:
         if name not in payload:
-            return None, f"missing field {name}"
+            raise ValueError(f"missing field {name}")
         value = payload[name]
         if not isinstance(value, list):
-            return None, f"field {name} must be a list, got {type(value).__name__}"
+            raise ValueError(
+                f"field {name} must be a list, got {type(value).__name__}")
         for item in value:
             if not isinstance(item, str):
-                return None, (
-                    f"field {name} must contain only strings, "
-                    f"got {type(item).__name__}"
-                )
+                raise ValueError(f"field {name} must contain only strings, "
+                                 f"got {type(item).__name__}")
+            check_utf8(f"field {name}", item)
         kwargs[name] = tuple(value)
     for name in DESCRIPTION_FIELDS:
         value = payload.get(name)
         if value is not None and not isinstance(value, str):
-            return None, f"field {name} must be a string if present"
+            raise ValueError(f"field {name} must be a string if present")
+        check_utf8(f"field {name}", value or "")
         kwargs[name] = value
-    return ExtractionRecord(**kwargs), None
+    return ExtractionRecord(**kwargs)
 
 
 def parse_extraction(raw: RawCompletion) -> ParseOutcome:
@@ -157,10 +161,11 @@ def parse_extraction(raw: RawCompletion) -> ParseOutcome:
     if payload is None:
         return ParseOutcome(status="format_failure",
                             failure_reason="no structured payload found")
-    record, reason = _record_from_payload(payload)
-    if record is None:
-        return ParseOutcome(status="format_failure", failure_reason=reason)
-    return ParseOutcome(status="parsed", record=record)
+    try:
+        return ParseOutcome(status="parsed",
+                            record=_record_from_payload(payload))
+    except ValueError as exc:
+        return ParseOutcome(status="format_failure", failure_reason=str(exc))
 
 
 def format_reward(outcome: ParseOutcome) -> int:
@@ -184,29 +189,29 @@ class GoldFileError(ValueError):
     pass
 
 
-def _article_id(payload: dict, line_no: int, error_cls: type[Exception]) -> str:
+def _article_id(payload: dict) -> str:
     article_id = payload.get("article_id")
     if not isinstance(article_id, str) or not article_id:
-        raise error_cls(f"line {line_no}: missing or empty article_id")
+        raise ValueError("missing or empty article_id")
+    check_utf8("article_id", article_id)
     return article_id
 
 
-def _sample_key(payload: dict, line_no: int,
-                error_cls: type[Exception]) -> tuple[str, int]:
-    article_id = _article_id(payload, line_no, error_cls)
+def _sample_key(payload: dict) -> tuple[str, int]:
+    article_id = _article_id(payload)
     sample_index = payload.get("sample_index")
     if type(sample_index) is not int or sample_index < 0:
-        raise error_cls(
-            f"line {line_no}: sample_index must be a non-negative integer")
+        raise ValueError("sample_index must be a non-negative integer")
     return article_id, sample_index
 
 
-def _checked_record(payload: dict, line_no: int,
-                    error_cls: type[Exception]) -> ExtractionRecord:
-    record, reason = _record_from_payload(payload)
-    if record is None:
-        raise error_cls(f"line {line_no}: {reason}")
-    return record
+def _completion_row(payload: dict) -> tuple:
+    key = _sample_key(payload)
+    text = payload.get("text")
+    if not isinstance(text, str):
+        raise ValueError("text must be a string")
+    check_utf8("text", text)
+    return key, RawCompletion(*key, text)
 
 
 def read_completions(path: str | Path,
@@ -216,17 +221,7 @@ def read_completions(path: str | Path,
     """Completions keyed by (article_id, sample_index), in file order, from
     a completions file or replay fixture: one {article_id, sample_index,
     text} per line, each key at most once."""
-    def row(payload: dict, line_no: int):
-        key = _sample_key(payload, line_no, error_cls)
-        text = payload.get("text")
-        if not isinstance(text, str):
-            raise error_cls(f"line {line_no}: text must be a string")
-        at = lone_surrogate(text)
-        if at is not None:
-            raise error_cls(
-                f"line {line_no}: text holds a lone surrogate at index {at}")
-        return key, RawCompletion(*key, text)
-    return read_keyed(path, error_cls, what, row)
+    return read_keyed(path, error_cls, what, _completion_row)
 
 
 def load_completions(path: str | Path) -> list[RawCompletion]:
@@ -249,10 +244,9 @@ def save_records(samples: Iterable[Parsed], path: str | Path) -> str:
                               if outcome.parsed))
 
 
-def _record_row(payload: dict, line_no: int) -> tuple:
-    key = _sample_key(payload, line_no, CompletionsFileError)
-    record = _checked_record(payload, line_no, CompletionsFileError)
-    return key, (*key, ParseOutcome("parsed", record))
+def _record_row(payload: dict) -> tuple:
+    key = _sample_key(payload)
+    return key, (*key, ParseOutcome("parsed", _record_from_payload(payload)))
 
 
 def load_records(path: str | Path) -> list[Parsed]:
@@ -262,10 +256,9 @@ def load_records(path: str | Path) -> list[Parsed]:
                            _record_row).values())
 
 
-def _gold_row(payload: dict, line_no: int) -> tuple:
-    article_id = _article_id(payload, line_no, GoldFileError)
-    return article_id, GoldAnnotation(
-        article_id, _checked_record(payload, line_no, GoldFileError))
+def _gold_row(payload: dict) -> tuple:
+    gold = GoldAnnotation(_article_id(payload), _record_from_payload(payload))
+    return gold.article_id, gold
 
 
 def load_gold(path: str | Path) -> list[GoldAnnotation]:

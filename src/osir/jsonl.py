@@ -1,10 +1,11 @@
 """File access: every input file is opened, decoded and de-duplicated here,
-and every artifact is written here; only pipeline.file_digest reads bytes.
+and every artifact is written here; only file_digest reads raw bytes.
 
-A JSON Lines file holds one JSON object per line. Writers sort keys and keep
-non-ASCII text as is, so equal rows give equal bytes. Each writer encodes its
-artifact to UTF-8 once, hashes the bytes as it writes them and returns their
-sha256, so no artifact is read back to be hashed.
+A JSON Lines file holds one JSON object per line, and read_keyed is its one
+reader. Writers sort keys and keep non-ASCII text as is, so equal rows give
+equal bytes. Each writer encodes its artifact to UTF-8 once, hashes the bytes
+as it writes them and returns their sha256, so no artifact is read back to be
+hashed.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import json
 import os
 import stat
 from dataclasses import fields
-from functools import cache
+from functools import cache, partial
 from itertools import islice
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable, Iterable
 
 
 def open_input(path: str | Path, error_cls: type[Exception],
@@ -37,43 +38,55 @@ def open_input(path: str | Path, error_cls: type[Exception],
     raise error_cls(f"{what} is not a file: {path}")
 
 
-def iter_jsonl(path: str | Path, error_cls: type[Exception],
-               what: str = "file") -> Iterator[tuple[int, dict]]:
-    """(line number, object) for each non-blank line of *path*.
+#: The bytes file_digest reads at a time. Each read allocates a whole chunk,
+#: even for a file of a few bytes, so the chunk is kept small.
+DIGEST_CHUNK = 64 * 1024
 
-    Raises *error_cls* as open_input does, and for a line that is not UTF-8,
-    not JSON or not a JSON object, naming the line.
-    """
+
+def file_digest(path: str | Path) -> str:
+    """The sha256 of an input file, read in DIGEST_CHUNK pieces so that a
+    large corpus is never held whole. Outputs are hashed as they are
+    written."""
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as fh:
+        for chunk in iter(partial(fh.read, DIGEST_CHUNK), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _json_object(line: str) -> dict:
+    """The object on *line*; ValueError names the line rule it breaks."""
+    if lone_surrogate(line) is not None:
+        raise ValueError("not UTF-8 text")
+    try:
+        payload = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # also too long an int
+        raise ValueError(f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+    if not isinstance(payload, dict):
+        raise ValueError("expected a JSON object")
+    return payload
+
+
+def read_keyed(path: str | Path, error_cls: type[Exception], what: str,
+               row: Callable[[dict], tuple]) -> dict:
+    """Key -> value of every non-blank line of *path*, in file order; *row*
+    gives a line's (key, value) from its object. Raises *error_cls* as
+    open_input does, as "line <n>: <reason>" for a ValueError of a line rule
+    or of *row* (kept as its cause), and for a key on two lines."""
+    out, lines = {}, {}
     with open_input(path, error_cls, what) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            if lone_surrogate(line) is not None:
-                raise error_cls(f"line {line_no}: not UTF-8 text")
             try:
-                payload = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # ValueError: also
-                # an integer too long to convert
-                raise error_cls(f"line {line_no}: invalid JSON "
-                                f"({getattr(exc, 'msg', exc)})") from exc
-            if not isinstance(payload, dict):
-                raise error_cls(f"line {line_no}: expected a JSON object")
-            yield line_no, payload
-
-
-def read_keyed(path: str | Path, error_cls: type[Exception], what: str,
-               row: Callable[[dict, int], tuple]) -> dict:
-    """Key -> value of every line of *path*, in file order; *row* gives a
-    line's (key, value) from its object and number. Raises *error_cls* as
-    iter_jsonl does, and for a key on two lines, naming both."""
-    out, lines = {}, {}
-    for line_no, payload in iter_jsonl(path, error_cls, what):
-        key, value = row(payload, line_no)
-        first = lines.setdefault(key, line_no)
-        if first != line_no:
-            raise error_cls(f"duplicate key {key!r} on lines {first} and "
-                            f"{line_no} of the {what}")
-        out[key] = value
+                key, value = row(_json_object(line))
+            except ValueError as exc:
+                raise error_cls(f"line {line_no}: {exc}") from exc
+            first = lines.setdefault(key, line_no)
+            if first != line_no:
+                raise error_cls(f"duplicate key {key!r} on lines {first} "
+                                f"and {line_no} of the {what}")
+            out[key] = value
     return out
 
 
@@ -88,6 +101,14 @@ def lone_surrogate(text: str) -> int | None:
     except UnicodeEncodeError as exc:
         return exc.start
     return None
+
+
+def check_utf8(name: str, text: str) -> None:
+    """Raise ValueError "<name> holds a lone surrogate at index <i>" if
+    *text* holds one."""
+    at = lone_surrogate(text)
+    if at is not None:
+        raise ValueError(f"{name} holds a lone surrogate at index {at}")
 
 
 #: The encoder of every JSON Lines row; json.dumps would build one per row.

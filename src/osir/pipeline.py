@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import contextmanager
-from functools import partial
 from pathlib import Path
 
 from .backend import complete_all, make_backend
@@ -50,7 +49,7 @@ from .indicators import (
     save_verdicts,
     trace_coverage,
 )
-from .jsonl import field_dict, write_json, write_jsonl
+from .jsonl import field_dict, file_digest, write_json, write_jsonl
 from .scoring import outcome_reward
 
 #: The samples of an article that has none, so that its verdict is unresolved.
@@ -66,22 +65,6 @@ class PipelineError(RuntimeError):
         if article_id is not None:
             where += f", article {article_id!r}"
         super().__init__(f"{where}: {message}")
-
-
-#: The bytes file_digest reads at a time. Each read allocates a whole chunk,
-#: even for a file of a few bytes, so the chunk is kept small.
-DIGEST_CHUNK = 64 * 1024
-
-
-def file_digest(path: str | Path) -> str:
-    """The sha256 of an input file, read in DIGEST_CHUNK pieces so that a
-    large corpus is never held whole. Outputs are hashed as they are
-    written."""
-    digest = hashlib.sha256()
-    with Path(path).open("rb") as fh:
-        for chunk in iter(partial(fh.read, DIGEST_CHUNK), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def config_digest(config: PipelineConfig) -> str:

@@ -2,26 +2,36 @@
 
 import hashlib
 import json
+from itertools import count
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from click.testing import CliRunner
+
 from osir.backend import ReplayBackend, ReplayFixtureError
+from osir.cli import main
 from osir.config import FIELD_TYPES, ConfigError, load_config
-from osir.corpus import CorpusError, load_corpus
+from osir.corpus import CorpusError, load_corpus, save_corpus
 from osir.extraction import (
+    BOOLEAN_FIELDS,
     DESCRIPTION_FIELDS,
+    LIST_FIELDS,
     SCORED_FIELDS,
     CompletionsFileError,
     GoldFileError,
+    RawCompletion,
     load_completions,
     load_gold,
     load_records,
+    parse_extraction,
+    save_completions,
+    save_gold,
+    save_records,
 )
 from osir.jsonl import (
     WRITE_BATCH,
-    iter_jsonl,
     read_keyed,
     write_csv,
     write_json,
@@ -29,20 +39,40 @@ from osir.jsonl import (
 )
 
 
+from conftest import build_replay_bundle
+
+
 class LineError(ValueError):
     pass
 
 
+def _objects(path, what="file"):
+    """The objects of *path*'s lines, read by read_keyed with a row that
+    keys each by its position."""
+    position = count()
+    return list(read_keyed(path, LineError, what,
+                           lambda payload: (next(position), payload)).values())
+
+
+def _reject_b(payload):
+    if "b" in payload:
+        raise ValueError("b is rejected")
+    return payload["a"], payload
+
+
 class TestIterJsonl:
+    """read_keyed's line rules, read with rows that keep each object."""
+
     def test_missing_file_names_what(self, tmp_path):
         with pytest.raises(LineError, match="widget file not found"):
-            list(iter_jsonl(tmp_path / "nope.jsonl", LineError, "widget file"))
+            _objects(tmp_path / "nope.jsonl", "widget file")
 
     def test_blank_lines_skipped_but_counted(self, tmp_path):
         path = tmp_path / "x.jsonl"
         path.write_text('{"a": 1}\n\n  \n{"b": 2}\n', encoding="utf-8")
-        assert list(iter_jsonl(path, LineError)) == [(1, {"a": 1}),
-                                                     (4, {"b": 2})]
+        assert _objects(path) == [{"a": 1}, {"b": 2}]
+        with pytest.raises(LineError, match="^line 4: b is rejected$"):
+            read_keyed(path, LineError, "file", _reject_b)
 
     @pytest.mark.parametrize("line, reason", [
         ("{not json", "invalid JSON"),
@@ -54,7 +84,7 @@ class TestIterJsonl:
         path = tmp_path / "x.jsonl"
         path.write_text('{"a": 1}\n' + line + "\n", encoding="utf-8")
         with pytest.raises(LineError, match=f"line 2: {reason}"):
-            list(iter_jsonl(path, LineError))
+            _objects(path)
 
     @pytest.mark.parametrize("line", [b"\xff\xfe", b'{"a": "\xe9"}',
                                       b'{"a": "x\xed\xa0\x80"}'],
@@ -63,19 +93,20 @@ class TestIterJsonl:
         path = tmp_path / "x.jsonl"
         path.write_bytes(b'{"a": 1}\n' + line + b"\n")
         with pytest.raises(LineError, match="line 2: not UTF-8 text"):
-            list(iter_jsonl(path, LineError))
+            _objects(path)
 
     def test_nesting_too_deep_is_invalid_json(self, tmp_path):
         path = tmp_path / "x.jsonl"
         path.write_text('{"a": 1}\n' + "[" * 100_000 + "\n", encoding="utf-8")
         with pytest.raises(LineError, match="line 2: invalid JSON"):
-            list(iter_jsonl(path, LineError))
+            _objects(path)
 
     def test_crlf_lines_load(self, tmp_path):
         path = tmp_path / "x.jsonl"
         path.write_bytes('{"a": "é"}\r\n\r\n{"b": 2}\r\n'.encode("utf-8"))
-        assert list(iter_jsonl(path, LineError)) == [(1, {"a": "é"}),
-                                                     (3, {"b": 2})]
+        assert _objects(path) == [{"a": "é"}, {"b": 2}]
+        with pytest.raises(LineError, match="^line 3: b is rejected$"):
+            read_keyed(path, LineError, "file", _reject_b)
 
     def test_writer_sorts_keys_and_keeps_unicode(self, tmp_path):
         path = tmp_path / "x.jsonl"
@@ -92,14 +123,14 @@ def write_jsonl_lines(tmp_path, lines):
 
 class TestReadKeyed:
     @staticmethod
-    def row(payload, line_no):
-        return payload["k"], (line_no, payload.get("v"))
+    def row(payload):
+        return payload["k"], payload.get("v")
 
     def test_values_in_file_order(self, tmp_path):
         path = write_jsonl_lines(tmp_path, ['{"k": "b", "v": 1}', "",
                                             '{"k": "a"}'])
         values = read_keyed(path, LineError, "widget file", self.row)
-        assert list(values.items()) == [("b", (1, 1)), ("a", (3, None))]
+        assert list(values.items()) == [("b", 1), ("a", None)]
 
     def test_duplicate_key_names_both_lines(self, tmp_path):
         path = write_jsonl_lines(tmp_path, ['{"k": "a"}', '{"k": "b"}',
@@ -112,6 +143,20 @@ class TestReadKeyed:
         path = write_jsonl_lines(tmp_path, ['{"v": 1}'])
         with pytest.raises(KeyError):
             read_keyed(path, LineError, "widget file", self.row)
+
+    def test_row_value_error_names_its_line(self, tmp_path):
+        path = write_jsonl_lines(tmp_path, ['{"k": "a"}', "", '{"k": 2}'])
+        problem = ValueError("k must be a string")
+
+        def row(payload):
+            if not isinstance(payload["k"], str):
+                raise problem
+            return payload["k"], None
+
+        with pytest.raises(LineError) as info:
+            read_keyed(path, LineError, "widget file", row)
+        assert str(info.value) == "line 3: k must be a string"
+        assert info.value.__cause__ is problem
 
 
 def test_csv_writer_quotes_and_ends_lines_with_newline(tmp_path):
@@ -270,3 +315,153 @@ def test_path_kinds_raise_only_the_declared_error(tmp_path, kind, message,
         load(path)
     assert str(path) in str(info.value)
     assert (message or "invalid JSON") in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# What loads, saves: no string a loader keeps holds a lone surrogate, whether
+# it comes from raw bytes or from a JSON escape such as \ud800
+
+_RECORD = {**dict.fromkeys(BOOLEAN_FIELDS, True),
+           **{name: ["GSE1"] for name in LIST_FIELDS},
+           **dict.fromkeys(DESCRIPTION_FIELDS, "reads")}
+
+#: Kind of line -> (loader, its error, writer, a line that loads, the name
+#: of its key field).
+_LINES = {
+    "corpus": (load_corpus, CorpusError, save_corpus,
+               {"id": "A1", "title": "T", "body_markdown": "Body.",
+                "discipline": "Life Sciences", "region": "Europe",
+                "published": "2020-01-31"}, "id"),
+    "completions": (load_completions, CompletionsFileError, save_completions,
+                    {"article_id": "A1", "sample_index": 0, "text": "T"},
+                    "article_id"),
+    "records": (load_records, CompletionsFileError, save_records,
+                {"article_id": "A1", "sample_index": 0, **_RECORD},
+                "article_id"),
+    "gold": (load_gold, GoldFileError, save_gold,
+             {"article_id": "A1", **_RECORD}, "article_id"),
+}
+
+
+@pytest.mark.parametrize("escape", ["\ud800", "\udfff"],
+                         ids=["d800", "dfff"])
+@pytest.mark.parametrize("kind, field", [
+    (kind, field) for kind, entry in _LINES.items()
+    for field, value in entry[3].items() if isinstance(value, (str, list))])
+def test_what_loads_saves(tmp_path, kind, field, escape):
+    load, error, save, line, key = _LINES[kind]
+    value = line[field]
+    bad = {**line, field: ([value[0] + escape] if isinstance(value, list)
+                           else value + escape)}
+    path = tmp_path / "in.jsonl"
+    path.write_text(json.dumps({**line, key: "A0"}) + "\n" + json.dumps(bad)
+                    + "\n", encoding="ascii")
+    try:
+        loaded = load(path)
+    except error as exc:
+        assert str(exc).startswith("line 2: ")
+        return
+    save(loaded, tmp_path / "out.jsonl")
+
+
+def test_completion_with_a_lone_surrogate_is_a_format_failure():
+    text = json.dumps({**_RECORD, "new_data_citations": ["Doe \ud800"]})
+    outcome = parse_extraction(RawCompletion("A1", 0, text))
+    assert outcome.failure_reason == ("field new_data_citations holds a lone "
+                                      "surrogate at index 4")
+
+
+def _replace_first_line(path, **changes):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), **changes})
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestCliRefusesLoneSurrogates:
+    @pytest.fixture
+    def bundle(self, tmp_path):
+        return build_replay_bundle(tmp_path / "in", n_articles=2)
+
+    def test_run_parses_such_a_completion_as_a_format_failure(self, bundle,
+                                                             tmp_path):
+        _replace_first_line(bundle["fixture"], text=json.dumps(
+            {**_RECORD, "new_data_citations": ["Doe \ud800"]}))
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, [
+            "run", "--corpus", str(bundle["corpus"]), "--fixture",
+            str(bundle["fixture"]), "--samples", "3", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        records = [json.loads(line) for line in
+                   (out / "records.jsonl").read_text("utf-8").splitlines()]
+        assert {"article_id": "art-000", "sample_index": 0} not in [
+            {k: r[k] for k in ("article_id", "sample_index")}
+            for r in records]
+
+    def test_run_with_such_gold_fails_at_ingest(self, bundle, tmp_path):
+        _replace_first_line(bundle["gold"], reuse_data_accessions=[
+            "GSE1\ud800"])
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, [
+            "run", "--corpus", str(bundle["corpus"]), "--gold",
+            str(bundle["gold"]), "--fixture", str(bundle["fixture"]),
+            "--samples", "3", "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == (
+            "Error: stage 'ingest': line 1: field reuse_data_accessions "
+            "holds a lone surrogate at index 4\n")
+        assert not (out / "prompts.jsonl").exists()
+
+    def test_filter_gold_names_the_line(self, bundle, tmp_path):
+        _replace_first_line(bundle["gold"], reuse_data_accessions=[
+            "GSE1\ud800"])
+        result = CliRunner().invoke(main, [
+            "filter-gold", "--corpus", str(bundle["corpus"]), "--gold",
+            str(bundle["gold"]), "--out-kept", str(tmp_path / "kept.jsonl"),
+            "--out-removed", str(tmp_path / "removed.csv")])
+        assert result.exit_code == 1
+        assert result.output == ("Error: line 1: field reuse_data_accessions "
+                                 "holds a lone surrogate at index 4\n")
+
+    def test_aggregate_names_the_line(self, bundle, tmp_path):
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps(
+            {"article_id": "art-000", "sample_index": 0, **_RECORD,
+             "reuse_data_accessions": ["GSE1\ud800"]}) + "\n",
+            encoding="ascii")
+        result = CliRunner().invoke(main, [
+            "aggregate", "--records", str(records), "--corpus",
+            str(bundle["corpus"]), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert result.output == ("Error: line 1: field reuse_data_accessions "
+                                 "holds a lone surrogate at index 4\n")
+
+
+_ENDPOINT = "http://localhost:1/a\ud800"
+
+
+@pytest.mark.parametrize("source", ["config file", "environment"])
+def test_config_string_with_a_lone_surrogate_fails_to_load(tmp_path, source):
+    path, env = None, {}
+    if source == "config file":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"endpoint": _ENDPOINT}), encoding="ascii")
+    else:
+        env = {"OSIR_ENDPOINT": _ENDPOINT}
+    with pytest.raises(ConfigError) as info:
+        load_config(path, env=env)
+    assert str(info.value) == \
+        f"bad value for endpoint: {_ENDPOINT!r} (not UTF-8 text)"
+
+
+def test_run_with_such_a_config_creates_no_out(tmp_path):
+    bundle = build_replay_bundle(tmp_path / "in", n_articles=1)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"endpoint": _ENDPOINT}), encoding="ascii")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [
+        "run", "--corpus", str(bundle["corpus"]), "--backend", "http",
+        "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 1
+    assert "bad value for endpoint" in result.output
+    assert "(not UTF-8 text)" in result.output
+    assert not out.exists()

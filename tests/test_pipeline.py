@@ -24,8 +24,8 @@ from osir.corpus import (
     load_corpus,
 )
 from osir.extraction import RawCompletion, parse_extraction
+from osir.jsonl import DIGEST_CHUNK
 from osir.pipeline import (
-    DIGEST_CHUNK,
     PipelineError,
     config_digest,
     file_digest,
