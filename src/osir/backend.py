@@ -32,7 +32,7 @@ from urllib.parse import quote, urlsplit
 
 from .corpus import PreparedPrompt
 from .extraction import RawCompletion, read_completions
-from .jsonl import lone_surrogate
+from .jsonl import check_utf8, json_object
 
 if TYPE_CHECKING:
     from http.client import HTTPConnection
@@ -159,32 +159,25 @@ class HttpBackend:
     @staticmethod
     def _completions_from(data: bytes, prompt: PreparedPrompt,
                           n: int) -> list[RawCompletion]:
+        """The first *n* completions of a response body in UTF-8, -16 or -32,
+        with or without a BOM, as json.loads reads bytes. BackendError names
+        what is malformed."""
         try:
-            payload = json.loads(data)
+            payload = json_object(data.decode(json.detect_encoding(data),
+                                              "surrogateescape"))
+            texts = payload.get("completions")
+            if not isinstance(texts, list):
+                raise ValueError("no 'completions' list")
+            if len(texts) < n:
+                raise ValueError(f"{len(texts)} completions, expected {n}")
+            texts = texts[:n]
+            for i, text in enumerate(texts):
+                if not isinstance(text, str):
+                    raise ValueError(f"completion {i} is not a string")
+                check_utf8(f"completion {i}", text)
         except ValueError as exc:
-            raise BackendError(
-                f"malformed backend response for {prompt.article_id!r}: {exc}"
-            ) from exc
-        if not isinstance(payload, dict) or "completions" not in payload:
-            raise BackendError(
-                f"malformed backend response for {prompt.article_id!r}: "
-                f"not an object with 'completions'")
-        completions = payload["completions"]
-        if not isinstance(completions, list) or len(completions) < n:
-            raise BackendError(
-                f"backend returned {len(completions) if isinstance(completions, list) else 'no'} "
-                f"completions for {prompt.article_id!r}, expected {n}")
-        texts = completions[:n]
-        for i, text in enumerate(texts):
-            if not isinstance(text, str):
-                raise BackendError(
-                    f"malformed backend response for {prompt.article_id!r}: "
-                    f"completion {i} is not a string")
-            at = lone_surrogate(text)
-            if at is not None:
-                raise BackendError(
-                    f"malformed backend response for {prompt.article_id!r}: "
-                    f"completion {i} holds a lone surrogate at index {at}")
+            raise BackendError(f"malformed backend response for "
+                               f"{prompt.article_id!r}: {exc}") from exc
         return [RawCompletion(prompt.article_id, i, text)
                 for i, text in enumerate(texts)]
 

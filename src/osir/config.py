@@ -5,9 +5,11 @@ config file keys, OSIR_* environment variables and the CLI options named
 after a field all derive from it. Precedence (lowest to highest): built-in
 defaults, JSON config file, environment variables, explicit CLI flags.
 PipelineConfig checks every value when it is built, so a bad value raises
-ConfigError from load_config before any stage runs. Only the settings of one
-backend mode (an endpoint, a fixture) are checked by make_backend, because
-the stages that build no backend do not need them.
+ConfigError from load_config before any stage runs. jsonl.json_object, which
+decodes every outside JSON text, decodes the config file and a dict setting
+from the environment. Only the settings of one backend mode (an endpoint, a
+fixture) are checked by make_backend, because the stages that build no
+backend do not need them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .corpus import DEFAULT_TOKEN_BUDGET
 from .evaluation import DEFAULT_F1_FLOOR, PASS1_MODES
 from .grounding import DEFAULT_THRESHOLDS, EMBELLISHMENT_MODES, Thresholds
 from .indicators import GROUPINGS
-from .jsonl import lone_surrogate, open_input
+from .jsonl import json_object, lone_surrogate, open_input
 
 ENV_PREFIX = "OSIR_"
 
@@ -97,7 +99,7 @@ def _coerce(key: str, value, text: bool = False) -> object:
     kind = FIELD_TYPES[key]
     try:
         if text:
-            value = {"int": int, "float": float, "dict": json.loads}.get(
+            value = {"int": int, "float": float, "dict": json_object}.get(
                 kind, str)(value)
         if isinstance(value, bool) or not isinstance(value, _VALUE_TYPES[kind]):
             raise TypeError(f"expected {kind}")
@@ -124,14 +126,9 @@ def load_config(path: str | Path | None = None,
         with open_input(path, ConfigError, "config file") as fh:
             text = fh.read()
         try:
-            if lone_surrogate(text) is not None:
-                raise ValueError("not UTF-8 text")
-            payload = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # also too long an int
-            raise ConfigError(f"config file {path}: invalid JSON "
-                              f"({getattr(exc, 'msg', exc)})") from exc
-        if not isinstance(payload, dict):
-            raise ConfigError(f"config file {path}: expected a JSON object")
+            payload = json_object(text)
+        except ValueError as exc:
+            raise ConfigError(f"config file {path}: {exc}") from exc
         for key, value in payload.items():
             if key not in FIELD_TYPES:
                 raise ConfigError(f"config file {path}: unknown key {key!r}")

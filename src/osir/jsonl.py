@@ -1,11 +1,13 @@
 """File access: every input file is opened, decoded and de-duplicated here,
 and every artifact is written here; only file_digest reads raw bytes.
 
-A JSON Lines file holds one JSON object per line, and read_keyed is its one
-reader. Writers sort keys and keep non-ASCII text as is, so equal rows give
-equal bytes. Each writer encodes its artifact to UTF-8 once, hashes the bytes
-as it writes them and returns their sha256, so no artifact is read back to be
-hashed.
+json_object decodes every JSON text from outside osir: a line of a JSON
+Lines file, the config file, a dict setting from the environment and an
+HTTP response body. read_keyed is the one reader of a JSON Lines file, one
+object per line. Writers sort keys and keep non-ASCII text as is, so equal
+rows give equal bytes. Each writer encodes its artifact to UTF-8 once,
+hashes the bytes as it writes them and returns their sha256, so no artifact
+is read back to be hashed.
 """
 
 from __future__ import annotations
@@ -54,13 +56,15 @@ def file_digest(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _json_object(line: str) -> dict:
-    """The object on *line*; ValueError names the line rule it breaks."""
-    if lone_surrogate(line) is not None:
+def json_object(text: str) -> dict:
+    """The object *text* holds. ValueError names the rule it breaks: "not
+    UTF-8 text", "invalid JSON (<reason>)" (nesting too deep or too long an
+    int included) or "expected a JSON object"."""
+    if lone_surrogate(text) is not None:
         raise ValueError("not UTF-8 text")
     try:
-        payload = json.loads(line)
-    except (ValueError, RecursionError) as exc:  # also too long an int
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
     if not isinstance(payload, dict):
         raise ValueError("expected a JSON object")
@@ -79,7 +83,7 @@ def read_keyed(path: str | Path, error_cls: type[Exception], what: str,
             if not line.strip():
                 continue
             try:
-                key, value = row(_json_object(line))
+                key, value = row(json_object(line))
             except ValueError as exc:
                 raise error_cls(f"line {line_no}: {exc}") from exc
             first = lines.setdefault(key, line_no)

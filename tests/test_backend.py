@@ -265,7 +265,10 @@ class TestHttpBackend:
 
     @pytest.mark.parametrize("body", [
         b"[1, 2]", b'"x"', b"null", b"3", b'{"choices": []}', b"not json",
-        b"\xff\xfe", b'{"completions": [null]}', b'{"completions": [7]}'])
+        b"\xff\xfe", b'{"completions": [null]}', b'{"completions": [7]}',
+        b'{"completions": "x"}', b'{"completions": []}',
+        pytest.param(b"[" * 100_000 + b"]" * 100_000,
+                     id="arrays-nested-100000-deep")])
     def test_malformed_response_is_fatal(self, flaky_server, body):
         _FlakyHandler.success_body = body
         with pytest.raises(BackendError,
@@ -283,6 +286,13 @@ class TestHttpBackend:
             complete(prompt_for("A"), 2, self.config(flaky_server))
         assert not isinstance(err.value, RetryableError)
         assert _FlakyHandler.seen == ["A"]
+
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])
+    def test_body_with_a_bom_loads(self, flaky_server, encoding):
+        _FlakyHandler.success_body = json.dumps(
+            {"completions": ["é, 中"]}, ensure_ascii=False).encode(encoding)
+        out = complete(prompt_for("A"), 1, self.config(flaky_server))
+        assert [c.text for c in out] == ["é, 中"]
 
     def test_proxy_variables_are_not_read(self, flaky_server, monkeypatch):
         for name in ("HTTP_PROXY", "http_proxy", "ALL_PROXY", "all_proxy"):

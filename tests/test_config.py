@@ -1,6 +1,7 @@
 """Configuration assembly: defaults, file, environment, explicit overrides."""
 
 import json
+import re
 
 import pytest
 
@@ -174,6 +175,10 @@ def test_non_finite_file_value_rejected(tmp_path, key, text):
                  id="OSIR_BACKOFF_BASE"),
     pytest.param("OSIR_DECODE_PARAMS", '{"temperature": Infinity}',
                  "bad value for decode_params", id="OSIR_DECODE_PARAMS"),
+    # Nesting too deep to decode is bad JSON, not a RecursionError.
+    pytest.param("OSIR_DECODE_PARAMS", "[" * 100_000 + "]" * 100_000,
+                 "bad value for decode_params",
+                 id="OSIR_DECODE_PARAMS-nested-100000-deep"),
 ])
 def test_non_finite_env_value_rejected(name, value, message):
     with pytest.raises(ConfigError, match=message):
@@ -187,19 +192,20 @@ def test_seed_is_not_a_setting(tmp_path):
         load_config(path, env={})
 
 
-@pytest.mark.parametrize("content, reason", [
-    pytest.param(b'{"token_budget": ' + b"9" * 5000 + b"}", "digits",
+@pytest.mark.parametrize("content, rule, reason", [
+    pytest.param(b'{"token_budget": ' + b"9" * 5000 + b"}",
+                 r"invalid JSON \(.*\)", "digits",
                  id="integer-of-5000-digits"),
     pytest.param(b'{"decode_params": {"a": ' + b"[" * 100_000
-                 + b"]" * 100_000 + b"}}", "recursion",
-                 id="arrays-nested-100000-deep"),
-    pytest.param(b'{"pass1_mode": "\xff\xfe"}', "utf-8",
+                 + b"]" * 100_000 + b"}}", r"invalid JSON \(.*\)",
+                 "recursion", id="arrays-nested-100000-deep"),
+    pytest.param(b'{"pass1_mode": "\xff\xfe"}', "not UTF-8 text", "utf-8",
                  id="bytes-not-utf-8"),
 ])
-def test_unreadable_file_raises_config_error(tmp_path, content, reason):
+def test_unreadable_file_raises_config_error(tmp_path, content, rule, reason):
     path = tmp_path / "config.json"
     path.write_bytes(content)
-    with pytest.raises(ConfigError,
-                       match=f"config file {path}: invalid JSON") as info:
+    with pytest.raises(ConfigError, match="^" + re.escape(
+            f"config file {path}: ") + f"{rule}$") as info:
         load_config(path, env={})
     assert reason in str(info.value).lower()

@@ -206,18 +206,43 @@ _KEYS = ("id", "title", "body_markdown", "discipline", "region", "published",
          "article_id", "sample_index", "text", *SCORED_FIELDS,
          *DESCRIPTION_FIELDS)
 
+# Strings that may hold lone surrogates, which a line holds as JSON escapes.
+_chars = st.characters() | st.sampled_from("\ud800\udfff")
+_strings = st.text(_chars)
 _scalars = (st.none() | st.booleans() | st.integers(-2**63, 2**63)
-            | st.floats(allow_nan=False, allow_infinity=False) | st.text())
+            | st.floats(allow_nan=False, allow_infinity=False) | _strings)
 _json = st.recursive(
     _scalars,
     lambda children: (st.lists(children, max_size=4)
-                      | st.dictionaries(st.text(max_size=6), children,
+                      | st.dictionaries(st.text(_chars, max_size=6), children,
                                         max_size=4)),
     max_leaves=10)
 # Values that get past the first checks, so deeper ones run too.
 _plausible = st.sampled_from(
     ["A1", "", 0, 1, -1, True, False, [], ["GSE1"], ["GSE1", 2],
-     "2020-01-31", "2020-13-45", "Life Sciences", "some text"])
+     "2020-01-31", "2020-13-45", "Life Sciences", "some text", "A1\ud800",
+     ["GSE1\udfff"], "some \udfff text"])
+
+
+def _with_escape(value, escape):
+    """*value* with *escape* appended to it, or to each string it lists."""
+    if isinstance(value, list):
+        return [_with_escape(item, escape) for item in value]
+    return value + escape if isinstance(value, str) else value
+
+
+@st.composite
+def _near_rows(draw):
+    """A row of _LINES (below) that loads, with a lone surrogate appended to
+    one of its values and perhaps one value changed to any other."""
+    row = dict(draw(st.sampled_from([entry[3] for entry in _LINES.values()])))
+    key = draw(st.sampled_from(sorted(row)))
+    row[key] = _with_escape(row[key], draw(st.sampled_from("\ud800\udfff")))
+    for key in draw(st.lists(st.sampled_from(sorted(row)), max_size=1)):
+        row[key] = draw(_plausible | _json)
+    return row
+
+
 # Objects built from the readers' own field names.
 _rows = st.dictionaries(st.sampled_from(_KEYS), _plausible | _json,
                         max_size=len(_KEYS))
@@ -236,9 +261,20 @@ _LOADERS = (
     (_load_config, ConfigError),
 )
 
+#: Loader -> the writer of what it loads. A replay fixture is read as a
+#: completions file is, and a config is not written.
+_SAVES = {load_corpus: save_corpus, load_completions: save_completions,
+          load_records: save_records, load_gold: save_gold}
 
-_json_lines = (_rows | _json).map(
-    lambda value: json.dumps(value, ensure_ascii=False).encode("utf-8"))
+
+def _encode(value) -> bytes:
+    """*value* as a line of JSON text; a lone surrogate in it becomes its
+    JSON escape, \\ud800 say."""
+    return json.dumps(value, ensure_ascii=False).encode("utf-8",
+                                                        "backslashreplace")
+
+
+_json_lines = (_rows | _json).map(_encode)
 
 
 def _splice(line: bytes, raw: bytes, at: int) -> bytes:
@@ -246,9 +282,11 @@ def _splice(line: bytes, raw: bytes, at: int) -> bytes:
     return line[:at] + raw + line[at:]
 
 
-# Lines of JSON text, some with raw bytes spliced in, and arbitrary bytes.
+# Lines of JSON text, rows that nearly load, lines with raw bytes spliced
+# in, and arbitrary bytes.
 _lines = st.one_of(
     _json_lines,
+    _near_rows().map(_encode),
     st.builds(_splice, _json_lines, st.binary(min_size=1, max_size=4),
               st.integers(0, 10**6)),
     st.binary())
@@ -270,9 +308,13 @@ def test_loaders_load_or_raise_their_error(tmp_path, lines, config):
     path.write_bytes(b"\n".join(lines) + b"\n")
     for load, error in _LOADERS:
         try:
-            load(path)
+            loaded = load(path)
         except error:
-            pass
+            continue
+        if load in _SAVES:  # what loads is written back, row for row
+            saved = tmp_path / "saved.jsonl"
+            _SAVES[load](loaded, saved)
+            assert load(saved) == loaded
     path.write_bytes(config)
     try:
         _load_config(path)
