@@ -109,7 +109,11 @@ def _coerce(key: str, value, text: bool = False) -> object:
             json.dumps(value, allow_nan=False)  # a request body cannot hold NaN
         return float(value) if kind == "float" else value
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
+        shown = repr(value)
+        if len(shown) > 80:  # a long value: 80 characters and its length
+            size = len(value) if isinstance(value, str) else len(shown)
+            shown = f"{shown[:80]}... ({size} characters)"
+        raise ConfigError(f"bad value for {key}: {shown} ({exc})") from exc
 
 
 def load_config(path: str | Path | None = None,

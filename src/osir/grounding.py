@@ -17,16 +17,15 @@ One scanner, _best_window, runs the edit-distance recurrence of
 text.prefix_distances for many window starts at once, each start one lane of
 a Python int (the increased bit-parallelism of Hyyro, Fredriksson & Navarro).
 Every string is decided on the marked starts, those of windows that could
-reach the threshold t: such a window is within d = text.max_edits(t,
-floor(1.2 L)) edits of the candidate, so by the partition lemma (Baeza-Yates
-& Navarro) two of d + 2 contiguous pieces of the candidate occur verbatim in
-it, each within d of the piece's own offset. str.find on the pieces gives
-each hit a range of starts, and a start is marked only where the ranges of
-two different pieces meet; a match found among the marked starts is the full
-scan's (score, span). Where the rule cannot apply (d + 2 > L, or an article
-shorter than the smallest window), every start is scanned. A miss carries the
-best score of the marked starts, a lower bound; fuzzy_contains and
-filter_gold's diagnostics scan every start for its exact score.
+reach the threshold t: two of the d + 2 text.pieces of the candidate at the
+longest window length occur verbatim in such a window, each within d of the
+piece's own offset. str.find on the pieces gives each hit a range of starts,
+and a start is marked only where the ranges of two different pieces meet; a
+match found among the marked starts is the full scan's (score, span). Where
+text.pieces does not apply, or the article is shorter than the smallest
+window, every start is scanned. A miss carries the best score of the marked
+starts, a lower bound; fuzzy_contains and filter_gold's diagnostics scan
+every start for its exact score.
 
 Each distinct (prepared string, threshold) is decided once per Article
 object and kept in Article.grounding_memo, so the k samples and the gold of
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 from .corpus import Article
 from .extraction import ExtractionRecord, GoldAnnotation, field_kind
 from .identifiers import strip_trailing_punct
-from .text import char_masks, max_edits, normalize_text, similarity
+from .text import char_masks, normalize_text, pieces, similarity
 
 
 @dataclass(frozen=True)
@@ -213,28 +212,21 @@ def _best_window(art: str, cand: str, starts: bytearray | None = None
 def _pigeonhole_starts(art: str, cand: str, threshold: float
                        ) -> bytearray | None:
     """Marks, for _best_window, of the starts where hits of two different
-    pieces of *cand* agree: every window scoring at least *threshold* starts
-    at a marked start. None when the filter does not apply.
+    text.pieces of *cand* agree: every window scoring at least *threshold*
+    starts at a marked start. None when the filter does not apply.
     """
     n, length = len(art), len(cand)
     lo, hi = _window_lengths(length)
-    if n < lo or not 0 < threshold <= 1:  # the latter also rejects NaN
+    # a window reaching threshold holds two pieces, each within d of its offset
+    split = pieces(cand, threshold, hi)
+    if n < lo or split is None:
         return None
-    # A window scoring >= threshold is within max_edits(threshold,
-    # max(length, j)) <= d edits of cand, so two of its d + 2 pieces occur
-    # in it verbatim, each within d of the piece's own offset.
-    d = max_edits(threshold, hi)
-    pieces = d + 2
-    if pieces > length:
-        return None
-    count = n - lo + 1
+    d, count = len(split) - 2, n - lo + 1
     events = []  # (start, +1) and (end, -1) of each piece's merged ranges
     voters = 0  # pieces with a hit so far
-    for p in range(pieces):
-        if voters + pieces - p < 2:  # no start can get a second vote
+    for p, (offset, piece) in enumerate(split):
+        if voters + len(split) - p < 2:  # no start can get a second vote
             break
-        offset = p * length // pieces
-        piece = cand[offset:(p + 1) * length // pieces]
         ranges = []
         q = art.find(piece)
         while q != -1:

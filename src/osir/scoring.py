@@ -4,6 +4,8 @@ The composite reward multiplies three components, each in [0, 1]:
 format (did the completion parse), grounding (are extracted strings supported
 by the article), and accuracy (does the record agree with the gold
 annotation). A failure on any one component drags the whole reward down.
+Set matching screens pairs with text.pieces, as grounding does, and walks
+augmenting paths on an explicit stack, so no recursion limit bounds them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .extraction import (
     parse_extraction,
 )
 from .grounding import DEFAULT_THRESHOLDS, Thresholds, embellishment_reward
-from .text import max_edits, normalize_text, similarity
+from .text import normalize_text, pieces, similarity
 
 
 @dataclass(frozen=True)
@@ -49,25 +51,22 @@ class RewardBreakdown:
 
 def _may_reach(a: str, b: str, threshold: float) -> bool:
     """False only where similarity(a, b) < threshold is certain without
-    computing it: from the length gap, or when fewer than two of the d + 2
-    contiguous pieces of the shorter string occur in the longer one, d being
-    text.max_edits at the longer length."""
+    computing it: from the length gap, or when fewer than two of the
+    text.pieces of the shorter string at the longer length occur in the
+    longer one."""
     shorter, longer = (a, b) if len(a) <= len(b) else (b, a)
     m = len(longer)
     # levenshtein >= the length gap, so this bounds the similarity from above
     if m and 1.0 - (m - len(shorter)) / m < threshold:
         return False
-    if not 0 < threshold <= 1 or len(shorter) < 2:  # the first rejects NaN
-        return True
-    pieces = max_edits(threshold, m) + 2
-    if pieces > len(shorter):
+    split = pieces(shorter, threshold, m)
+    if split is None:
         return True
     votes = 0
-    for p in range(pieces):
-        if votes + pieces - p < 2:  # too few pieces left for two votes
+    for p, (_, piece) in enumerate(split):
+        if votes + len(split) - p < 2:  # too few pieces left for two votes
             return False
-        votes += shorter[p * len(shorter) // pieces:
-                         (p + 1) * len(shorter) // pieces] in longer
+        votes += piece in longer
         if votes == 2:
             return True
     return False
@@ -112,19 +111,30 @@ def match_sets(
             used.add(i)
             owner[j] = (sim, i)
 
-    def augment(i: int, seen: set[int]) -> bool:
-        """Match predicted i along an augmenting path, if there is one."""
-        for sim, j in edges[i]:
-            if j not in seen:
-                seen.add(j)
-                if j not in owner or augment(owner[j][1], seen):
-                    owner[j] = (sim, i)
-                    return True
-        return False
+    def augment(root: int) -> None:
+        """Match predicted *root* along an augmenting path, if there is one:
+        a depth-first search on a stack of frames [predicted i, its untried
+        edges, the edge it took], one per predicted index on the path."""
+        seen: set[int] = set()
+        frames = [[root, iter(edges[root]), None]]
+        while frames:
+            frame = frames[-1]
+            for sim, j in frame[1]:
+                if j not in seen:
+                    seen.add(j)
+                    frame[2] = (sim, j)
+                    if j not in owner:  # flip every edge of the path
+                        for i, _, (sim, j) in frames:
+                            owner[j] = (sim, i)
+                        return
+                    frames.append([owner[j][1], iter(edges[owner[j][1]]), None])
+                    break
+            else:  # no path from this frame: back up to the one below
+                frames.pop()
 
     for i in range(len(predicted)):
         if i not in used:
-            augment(i, set())
+            augment(i)
     pairs = tuple((predicted[i], gold[j], sim) for j, (sim, i) in sorted(
         owner.items(), key=lambda item: (-item[1][0], item[1][1], item[0])))
     tp = len(pairs)

@@ -1,7 +1,8 @@
-"""Text normalization and edit-distance primitives.
+"""Text normalization, edit-distance primitives and the piece split.
 
 Everything in this module is deterministic and dependency-free so that the
-matching layers built on top of it stay reproducible across runs.
+matching layers built on top of it stay reproducible across runs; pieces is
+the one split of the partition lemma, for grounding and set matching.
 """
 
 from __future__ import annotations
@@ -93,15 +94,25 @@ def similarity(a: str, b: str) -> float:
 
 def max_edits(threshold: float, m: int) -> int:
     """The largest edit count d with 1.0 - d / m >= threshold, in the float
-    arithmetic of similarity; m >= 1 and 0 < threshold <= 1.
-
-    A string within d edits of another keeps at least two of any d + 2
-    contiguous pieces of it verbatim in the other (the partition lemma of
-    Baeza-Yates & Navarro), so two pieces found are necessary for a
-    similarity of at least *threshold* at length m or less.
-    """
+    arithmetic of similarity; m >= 1 and 0 < threshold <= 1."""
     # The + 1 starts above a product that rounds just below an integer.
     d = int((1 - threshold) * m) + 1
     while 1.0 - d / m < threshold:
         d -= 1
     return d
+
+
+def pieces(s: str, threshold: float, m: int) -> list[tuple[int, str]] | None:
+    """*s* cut into d + 2 contiguous pieces, d = max_edits(threshold, m),
+    each as (offset, piece); None for a threshold outside (0, 1], NaN
+    included, or for more pieces than characters. Each edit breaks at most
+    one piece, so a string within d edits of *s* holds two of them verbatim
+    (the partition lemma of Baeza-Yates & Navarro): two pieces found are
+    necessary for a similarity of at least *threshold* at length m or less.
+    """
+    if not 0 < threshold <= 1 or len(s) < 2:  # the first rejects NaN
+        return None
+    count, n = max_edits(threshold, m) + 2, len(s)
+    return None if count > n else [
+        (p * n // count, s[p * n // count:(p + 1) * n // count])
+        for p in range(count)]

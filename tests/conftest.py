@@ -53,7 +53,7 @@ LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 def edit_all_but_two_pieces(draw, cand: str, ops: str) -> str:
     """*cand* with one edit in each of len(ops) of its len(ops) + 2
-    contiguous pieces (text.max_edits's split), the other two verbatim:
+    contiguous pieces (the split of text.pieces), the other two verbatim:
     "i" inserts a letter inside the piece, "s" substitutes a letter with
     another and "d" deletes one. *draw* (a hypothesis draw) picks the two
     verbatim pieces, the order of *ops*, the positions and the letters;

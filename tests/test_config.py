@@ -181,8 +181,18 @@ def test_non_finite_file_value_rejected(tmp_path, key, text):
                  id="OSIR_DECODE_PARAMS-nested-100000-deep"),
 ])
 def test_non_finite_env_value_rejected(name, value, message):
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=message) as info:
         load_config(env={name: value})
+    assert len(str(info.value)) < 300  # a long value is quoted by a prefix
+
+
+def test_long_rejected_value_is_quoted_by_its_prefix_and_length():
+    with pytest.raises(ConfigError) as info:
+        load_config(env={"OSIR_DECODE_PARAMS":
+                         "[" * 100_000 + "]" * 100_000})
+    assert str(info.value).startswith(
+        "bad value for decode_params: '" + "[" * 79
+        + "... (200000 characters) (invalid JSON (")
 
 
 def test_seed_is_not_a_setting(tmp_path):

@@ -2,12 +2,15 @@
 
 import itertools
 import random
+import sys
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from osir import scoring
+from osir.cli import main
 from osir.extraction import GoldAnnotation, RawCompletion, SCORED_FIELDS
 from osir.scoring import (
     RewardBreakdown,
@@ -18,9 +21,11 @@ from osir.scoring import (
 )
 from osir.text import max_edits, similarity
 
-from conftest import (LETTERS, completion_text, edit_all_but_two_pieces,
-                      make_article, make_record)
-from oracles import (oracle_f1, oracle_normalize, oracle_optimal_tp,
+from conftest import (LETTERS, completion_row, completion_text,
+                      edit_all_but_two_pieces, gold_row, make_article,
+                      make_completion, make_record, write_jsonl)
+from oracles import (oracle_f1, oracle_greedy_pairs, oracle_normalize,
+                     oracle_optimal_tp, oracle_recursive_pairs,
                      oracle_similarity)
 
 
@@ -180,6 +185,76 @@ class TestTwoVoteFilter:
         assert calls == []
         assert match_sets(["abcdeXghijklmnoXqrst"], [gold], 0.9).tp == 1
         assert len(calls) == 1
+
+
+def _chain(text: str, n: int, length: int) -> tuple[list[str], list[str]]:
+    """(predicted, gold), n strings a side, from windows of *text* (at least
+    n + length - 1 characters): gold j is text[j:j + length], and predicted
+    i is gold i without its first character and with "#" appended. So
+    predicted i is 1 edit from gold i + 1 and 2 from gold i, greedy pairs i
+    with i + 1 for every i < n - 1, and the one maximum matching, i with i,
+    takes an augmenting path through all n pairs."""
+    gold = [text[j:j + length] for j in range(n)]
+    return [g[1:] + "#" for g in gold], gold
+
+
+@st.composite
+def _augmenting_instances(draw):
+    """(predicted, gold): one to three chains of 10-character strings (see
+    _chain), with a few repeated or unrelated strings, in a random order."""
+    predicted, gold = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(2, 4))
+        text = draw(st.text(LETTERS, min_size=n + 9, max_size=n + 9))
+        more_predicted, more_gold = _chain(text, n, 10)
+        predicted += more_predicted
+        gold += more_gold
+    predicted += draw(st.lists(st.sampled_from(gold), max_size=2))
+    gold += draw(st.lists(st.sampled_from(predicted), max_size=2))
+    gold += draw(st.lists(st.text(LETTERS, min_size=8, max_size=12),
+                          max_size=2))
+    return draw(st.permutations(predicted)), draw(st.permutations(gold))
+
+
+class TestAugmentingPaths:
+    """match_sets walks each augmenting path with its own stack of frames,
+    so a path longer than the recursion limit still matches."""
+
+    @given(_augmenting_instances())
+    @settings(deadline=None)
+    def test_pairs_equal_the_recursive_form(self, instance):
+        predicted, gold = instance
+        threshold = 0.75  # 2 edits in 10 reach it, 3 do not
+        assume(len(oracle_greedy_pairs(predicted, gold, threshold))
+               < oracle_optimal_tp(predicted, gold, threshold))
+        assert match_sets(predicted, gold, threshold).pairs == \
+            oracle_recursive_pairs(predicted, gold, threshold)
+
+    def test_chain_longer_than_the_recursion_limit(self, tmp_path):
+        n, limit = 300, 200
+        rng = random.Random(14)
+        text = "".join(rng.choice(LETTERS) for _ in range(n + 39))
+        predicted, gold = _chain(text, n, 40)
+        assert similarity(predicted[0], gold[1]) > 0.95
+        assert similarity(predicted[0], gold[0]) == 0.95
+        record = make_record(new_data_accessions=tuple(predicted))
+        completions = write_jsonl(tmp_path / "completions.jsonl", [
+            completion_row(make_completion("a1", 0, record))])
+        gold_path = write_jsonl(tmp_path / "gold.jsonl", [gold_row(
+            GoldAnnotation("a1", make_record(
+                new_data_accessions=tuple(gold))))])
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit)
+        try:
+            m = match_sets(predicted, gold, 0.95)
+            result = CliRunner().invoke(main, [
+                "eval", "--completions", str(completions),
+                "--gold", str(gold_path),
+                "--out", str(tmp_path / "report.json")])
+        finally:
+            sys.setrecursionlimit(saved)
+        assert (m.tp, m.fp, m.fn) == (n, 0, 0)
+        assert result.exit_code == 0, result.output
 
 
 class TestFieldF1:

@@ -1,12 +1,17 @@
-"""Edit-distance primitives against the full-matrix oracle."""
+"""Edit-distance primitives and the piece split against brute-force oracles."""
 
+import ast
+import itertools
+import math
 import random
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from osir.text import levenshtein, max_edits, prefix_distances, similarity
+from osir.text import (levenshtein, max_edits, pieces, prefix_distances,
+                       similarity)
 
 from oracles import oracle_levenshtein, oracle_similarity
 
@@ -89,3 +94,73 @@ class TestMaxEdits:
         d = max_edits(threshold, m)
         assert d == max(e for e in range(m + 1)
                         if 1.0 - e / m >= threshold)
+
+
+#: Thresholds inside (0, 1] and out of it, NaN included.
+THRESHOLDS = st.one_of(st.floats(min_value=0, max_value=1, exclude_min=True),
+                       st.sampled_from((0.0, -0.5, 1.5, math.nan)))
+
+
+@st.composite
+def _edited(draw, s: str, d: int) -> str:
+    """*s* after at most *d* random single-character edits."""
+    out = list(s)
+    for _ in range(draw(st.integers(0, d))):
+        i = draw(st.integers(0, len(out)))
+        op = draw(st.sampled_from("ids" if i < len(out) else "i"))
+        if op == "d":
+            del out[i]
+        else:
+            out[i:i + (op == "s")] = draw(st.sampled_from("abcx"))
+    return "".join(out)
+
+
+class TestPieces:
+    @given(st.text("abc", max_size=40), THRESHOLDS, st.integers(1, 80))
+    def test_split_or_none(self, s, threshold, m):
+        split = pieces(s, threshold, m)
+        if not 0 < threshold <= 1:
+            assert split is None
+            return
+        count = max_edits(threshold, m) + 2
+        if count > len(s):
+            assert split is None
+            return
+        offsets, parts = zip(*split)
+        assert len(split) == len(parts) == count
+        assert "".join(parts) == s
+        assert list(offsets) == list(itertools.accumulate(
+            map(len, parts[:-1]), initial=0))
+
+    @given(st.data(), st.text("abc", min_size=2, max_size=40),
+           st.floats(min_value=0.5, max_value=1), st.integers(1, 60))
+    def test_within_d_edits_two_pieces_survive(self, data, s, threshold, m):
+        split = pieces(s, threshold, m)
+        assume(split is not None)
+        d = len(split) - 2
+        edited = data.draw(_edited(s, d))
+        assert oracle_levenshtein(s, edited) <= d
+        assert sum(piece in edited for _, piece in split) >= 2
+
+    def test_empty_strings_give_none(self):
+        # max_edits is never asked to divide by a length of zero
+        assert pieces("", 0.9, 0) is None
+        assert pieces("a", 0.9, 0) is None
+
+
+def test_only_text_computes_max_edits():
+    """text.pieces is the one split of the partition lemma: no other module
+    imports or calls max_edits to cut pieces of its own."""
+    src = Path(__file__).resolve().parent.parent / "src" / "osir"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Call):
+                names = [getattr(node.func, "id",
+                                 getattr(node.func, "attr", None))]
+            else:
+                continue
+            found += [path.name for name in names if name == "max_edits"]
+    assert found and set(found) == {"text.py"}
