@@ -49,8 +49,8 @@ from .pipeline import (
 
 
 class _Group(click.Group):
-    """A command group that reports any failure of a command as a
-    ClickException. Click's own exits (--help, Ctrl-C) pass through."""
+    """A command group that reports str() of any failure of a command as
+    a ClickException. Click's own exits (--help, Ctrl-C) pass through."""
 
     def invoke(self, ctx: click.Context):
         try:
@@ -58,10 +58,7 @@ class _Group(click.Group):
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
         except Exception as exc:
-            # str() of a KeyError is the repr of its one argument
-            message = (exc.args[0] if isinstance(exc, KeyError)
-                       and len(exc.args) == 1 else exc)
-            raise click.ClickException(str(message)) from exc
+            raise click.ClickException(str(exc)) from exc
 
 
 def _setting(flag: str, field: str, help: str | None = None):
@@ -188,7 +185,7 @@ def eval_command(completions_path: str, gold_path: str, out_path: str,
     config = load_config(config_path, **overrides)
     completions = load_completions(completions_path)
     gold = load_gold(gold_path)
-    samples = build_sample_sets(completions, expected_samples)
+    samples = build_sample_sets(parse_stage(completions), expected_samples)
     thresholds = config.thresholds()
     scores = score_samples(samples, gold, thresholds)
     report = build_eval_report(samples, gold, config.pass1_mode,

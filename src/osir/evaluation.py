@@ -11,7 +11,7 @@ them would flatter the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -22,12 +22,10 @@ from .extraction import (
     LIST_FIELDS,
     ParseOutcome,
     Parsed,
-    RawCompletion,
     SCORED_FIELDS,
-    parse_extraction,
 )
 from .grounding import DEFAULT_THRESHOLDS, Thresholds
-from .jsonl import field_dict, write_json
+from .jsonl import write_json
 from .scoring import accuracy_reward
 
 PASS1_MODES = ("mean", "first")
@@ -77,16 +75,16 @@ def group_samples(samples: Iterable[Parsed]) -> list[SampleSet]:
             for article_id, indexed in sorted(by_article.items())]
 
 
-def build_sample_sets(completions: list[RawCompletion],
+def build_sample_sets(samples: list[Parsed],
                       samples_per_article: int | None = None) -> list[SampleSet]:
-    """Group completions into per-article SampleSets, parsing each sample.
+    """Group parse_stage's samples into per-article SampleSets.
 
     Every article must carry the same sample count with contiguous indices
     0..k-1; pass samples_per_article to also pin k explicitly.
     """
     indices: dict[str, set[int]] = {}
-    for c in completions:
-        indices.setdefault(c.article_id, set()).add(c.sample_index)
+    for article_id, sample_index, _ in samples:
+        indices.setdefault(article_id, set()).add(sample_index)
     counts = {len(v) for v in indices.values()}
     if len(counts) > 1:
         raise EvaluationError(
@@ -99,8 +97,7 @@ def build_sample_sets(completions: list[RawCompletion],
         if indices[article_id] != set(range(k)):
             raise EvaluationError(
                 f"article {article_id!r}: sample indices are not 0..{k - 1}")
-    return group_samples((c.article_id, c.sample_index, parse_extraction(c))
-                         for c in completions)
+    return group_samples(samples)
 
 
 def _gold_map(gold: list[GoldAnnotation],
@@ -266,9 +263,4 @@ def render_report_table(report: EvalReport) -> str:
 
 
 def save_report(report: EvalReport, path: str | Path) -> str:
-    return write_json(path, {
-        **field_dict(report),
-        "boolean_fields": {name: field_dict(m)
-                           for name, m in report.boolean_fields.items()},
-        "list_fields": {name: field_dict(m)
-                        for name, m in report.list_fields.items()}})
+    return write_json(path, asdict(report))

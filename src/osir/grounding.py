@@ -255,8 +255,8 @@ def _pigeonhole_starts(art: str, cand: str, threshold: float
 def _fuzzy_contains_normalized(art_norm: str, candidate: str,
                                threshold: float) -> MatchResult:
     cand_norm = normalize_text(candidate)
-    if not cand_norm:
-        raise ValueError("candidate must be non-empty after normalization")
+    if not cand_norm:  # a blank string is grounded nowhere
+        return MatchResult(candidate=candidate, matched=False, score=0.0)
     idx = art_norm.find(cand_norm)
     if idx != -1:
         return MatchResult(candidate=candidate, matched=True, score=1.0,
@@ -270,18 +270,21 @@ def _fuzzy_contains_normalized(art_norm: str, candidate: str,
 
 def _exact(art_norm: str, result: MatchResult) -> MatchResult:
     """*result* with the exact best score: a miss decided on the marked
-    starts carries only a lower bound, so every start is scanned for it."""
-    return result if result.matched else MatchResult(
-        result.candidate, False,
-        _best_window(art_norm, normalize_text(result.candidate))[0])
+    starts carries only a lower bound, so every start is scanned for it. A
+    blank string's 0.0 is exact."""
+    cand_norm = normalize_text(result.candidate)
+    return result if result.matched or not cand_norm else MatchResult(
+        result.candidate, False, _best_window(art_norm, cand_norm)[0])
 
 
 def fuzzy_contains(article_text: str, candidate: str, threshold: float) -> MatchResult:
     """Decide whether *candidate* occurs (fuzzily) in *article_text*.
 
     Matching is insensitive to case and whitespace variation on both sides.
-    threshold must lie in (0, 1].
+    threshold must lie in (0, 1], and *candidate* must not be blank.
     """
+    if not normalize_text(candidate):
+        raise ValueError("candidate must be non-empty after normalization")
     art_norm = normalize_text(article_text)
     return _exact(art_norm, _fuzzy_contains_normalized(art_norm, candidate,
                                                        threshold))
@@ -380,7 +383,7 @@ def filter_gold(
     for ann in annotations:
         article = by_id.get(ann.article_id)
         if article is None:
-            raise KeyError(
+            raise ValueError(
                 f"gold annotation references unknown article {ann.article_id!r}")
         diagnostics = [
             RemovalDiagnostic(article_id=ann.article_id, field=name,

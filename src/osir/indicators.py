@@ -97,10 +97,8 @@ def resolve_verdict(samples: SampleSet) -> ArticleVerdict:
     to False). Evidence is unioned across parsed samples; an accession whose
     canonical form is empty counts nowhere. Trace flags reflect whether any
     sample carried a non-empty description for the category. Zero parsed
-    samples yield an unresolved verdict with both booleans false.
+    samples, or none at all, yield an unresolved verdict, booleans false.
     """
-    if not samples.outcomes:
-        raise ValueError(f"article {samples.article_id!r}: no samples")
     parsed = [o.record for o in samples.outcomes if o.parsed]
     if not parsed:
         return ArticleVerdict(
@@ -166,7 +164,7 @@ def aggregate_by(
     for v in verdicts:
         article = articles.get(v.article_id)
         if article is None:
-            raise KeyError(f"verdict references unknown article {v.article_id!r}")
+            raise ValueError(f"verdict references unknown article {v.article_id!r}")
         label = getattr(article, by) or "Unknown"
         groups.setdefault(label, []).append(v)
     rows = [_row(label, groups[label]) for label in sorted(groups)]

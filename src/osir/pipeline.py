@@ -30,7 +30,6 @@ from .corpus import (
 from .evaluation import SampleSet, group_samples
 from .extraction import (
     GoldAnnotation,
-    ParseOutcome,
     Parsed,
     RawCompletion,
     load_gold,
@@ -51,11 +50,6 @@ from .indicators import (
 )
 from .jsonl import field_dict, file_digest, write_json, write_jsonl
 from .scoring import outcome_reward
-
-#: The samples of an article that has none, so that its verdict is unresolved.
-NO_SAMPLES = (ParseOutcome(status="format_failure",
-                           failure_reason="no parsed samples"),)
-
 
 class PipelineError(RuntimeError):
     def __init__(self, stage: str, message: str, article_id: str | None = None):
@@ -175,8 +169,7 @@ def verdict_stage(parsed: list[Parsed],
     unknown = sorted(sets.keys() - articles.keys())
     if unknown:
         raise PipelineError("verdicts", "unknown article", unknown[0])
-    return [resolve_verdict(sets.get(article_id)
-                            or SampleSet(article_id, NO_SAMPLES))
+    return [resolve_verdict(sets.get(article_id) or SampleSet(article_id, ()))
             for article_id in sorted(articles)]
 
 

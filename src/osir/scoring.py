@@ -163,17 +163,12 @@ def accuracy_reward(
     record: ExtractionRecord,
     gold: GoldAnnotation,
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
-    article_id: str | None = None,
 ) -> tuple[float, dict[str, float]]:
-    """Agreement with the gold annotation, with partial credit on lists.
+    """Agreement of *record* with its article's gold, partial credit on lists.
 
     v is the unweighted mean of the ten scored fields' field_score
     (descriptions are not scored). Returns (v, sub_scores).
     """
-    if article_id is not None and article_id != gold.article_id:
-        raise ValueError(
-            f"article id mismatch: record is for {article_id!r}, "
-            f"gold is for {gold.article_id!r}")
     sub = {name: field_score(name, record, gold.record, thresholds)
            for name in SCORED_FIELDS}
     v = sum(sub.values()) / len(SCORED_FIELDS)
@@ -207,16 +202,19 @@ def outcome_reward(
 ) -> RewardBreakdown:
     """The reward of an already parsed completion of *article*.
 
-    An unparseable completion short-circuits to all-zero components so the
-    breakdown stays total and r = f * e * v holds exactly.
+    Gold for another article is a ValueError. An unparseable completion
+    short-circuits to all-zero components so r = f * e * v holds exactly.
     """
+    if article.id != gold.article_id:
+        raise ValueError(
+            f"article id mismatch: record is for {article.id!r}, "
+            f"gold is for {gold.article_id!r}")
     f = format_reward(outcome)
     if f == 0:
         return RewardBreakdown(f=0, e=0.0, v=0.0, r=0.0, sub_scores={})
     assert outcome.record is not None
     report = embellishment_reward(article, outcome.record, thresholds,
                                   mode=embellishment_mode)
-    v, sub = accuracy_reward(outcome.record, gold, thresholds,
-                             article_id=article.id)
+    v, sub = accuracy_reward(outcome.record, gold, thresholds)
     return RewardBreakdown(f=f, e=report.e, v=v, r=f * report.e * v,
                            sub_scores=sub)

@@ -223,10 +223,12 @@ def _accession(value: str) -> str:
 def _grounded(body: str, value: str, kind: str, threshold: float) -> bool:
     """Whether *value* is supported by *body*: an exact occurrence scores 1,
     else the best window of the brute-force scan. A URL loses its trailing
-    slashes and punctuation first."""
+    slashes and punctuation first; a blank value is supported nowhere."""
     if kind == "url":
         value = value.rstrip(_PUNCT + "/") or value
     art, cand = oracle_normalize(body), oracle_normalize(value)
+    if not cand:
+        return False
     return cand in art or oracle_windowed_score(art, cand) >= threshold
 
 

@@ -63,7 +63,7 @@ class TestBuildSampleSets:
             make_completion("A1", 0, make_record()),
             make_completion("A2", 1, make_record()),
         ]
-        sets = build_sample_sets(completions)
+        sets = build_sample_sets(parse_stage(completions))
         assert [s.article_id for s in sets] == ["A1", "A2"]
         assert sets[0].outcomes[1].record.reuse_data is True
 
@@ -74,7 +74,7 @@ class TestBuildSampleSets:
             make_completion("A2", 1, make_record()),
         ]
         with pytest.raises(EvaluationError, match="unequal"):
-            build_sample_sets(completions)
+            build_sample_sets(parse_stage(completions))
 
     def test_gap_in_indices_rejected(self):
         completions = [
@@ -82,12 +82,12 @@ class TestBuildSampleSets:
             make_completion("A1", 2, make_record()),
         ]
         with pytest.raises(EvaluationError, match="0..1"):
-            build_sample_sets(completions)
+            build_sample_sets(parse_stage(completions))
 
     def test_pinned_k_mismatch(self):
         completions = [make_completion("A1", 0, make_record())]
         with pytest.raises(EvaluationError, match="expected 3"):
-            build_sample_sets(completions, samples_per_article=3)
+            build_sample_sets(parse_stage(completions), samples_per_article=3)
 
 
 class TestEvaluateBooleanField:
@@ -348,7 +348,8 @@ class TestEvalScoresEachSampleOnce:
                                                         monkeypatch):
         paths = build_unparseable_bundle(tmp_path / "in", seed=1)
         perturb_lists(paths["fixture"], seed=1)
-        samples = build_sample_sets(load_completions(paths["fixture"]))
+        samples = build_sample_sets(
+            parse_stage(load_completions(paths["fixture"])))
         gold = load_gold(paths["gold"])
         parsed = sum(o.parsed for s in samples for o in s.outcomes)
         assert parsed == 144
@@ -400,7 +401,7 @@ class TestScoresAreTheRewardSubScores:
                 row["sub_scores"]
         assert any({} in by_index.values() for by_index in expected.values())
 
-        samples = build_sample_sets(completions)
+        samples = build_sample_sets(parse_stage(completions))
         scores = score_samples(samples, gold, config.thresholds())
         assert {s.article_id: dict(enumerate(article))
                 for s, article in zip(samples, scores)} == expected

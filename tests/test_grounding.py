@@ -14,6 +14,7 @@ from osir.corpus import load_corpus
 from osir.extraction import GoldAnnotation, LIST_FIELDS
 from osir.grounding import (
     EMBELLISHMENT_MODES,
+    MatchResult,
     Thresholds,
     _best_window,
     _pigeonhole_starts,
@@ -257,6 +258,16 @@ class TestFuzzyContains:
 
 
 class TestEmbellishmentReward:
+    @pytest.mark.parametrize("blank", ["", " ", "\n\t"])
+    def test_blank_string_is_an_ungrounded_miss(self, blank):
+        # not vacuously exact: blanks cannot pad a list to raise e
+        report = embellishment_reward(
+            make_article("A1", "cites 10.5/abc here"),
+            make_record(new_data_dois=("10.5/abc", blank)))
+        assert report.e == 0.5
+        assert report.matches["new_data_dois"][1] == \
+            MatchResult(blank, matched=False, score=0.0)
+
     def test_decision_equals_oracle(self):
         """The reward path and fuzzy_contains decide exactly as the full
         window enumeration. A match carries the full search's (score,
@@ -474,8 +485,17 @@ class TestFilterGold:
 
     def test_dangling_article_reference(self):
         gold = [GoldAnnotation("GHOST", make_record())]
-        with pytest.raises(KeyError, match="GHOST"):
+        with pytest.raises(ValueError, match="GHOST"):
             filter_gold([make_article("A1", "x")], gold)
+
+    def test_blank_string_removed_with_score_zero(self):
+        corpus = [make_article("A1", "cites 10.5/abc here")]
+        gold = [GoldAnnotation("A1", make_record(
+            new_data_dois=("10.5/abc", " ")))]
+        kept, (removed,) = filter_gold(corpus, gold)
+        assert kept == []
+        assert [(d.string, d.best_score) for d in removed.diagnostics] == \
+            [(" ", 0.0)]
 
     def test_stricter_threshold_never_rescues(self):
         corpus = [make_article("A1", "approximate GSE1234X evidence")]

@@ -96,9 +96,10 @@ class TestResolveVerdict:
         assert stats.articles_with_accession == 0
         assert stats.accessions == ()
 
-    def test_no_samples_rejected(self):
-        with pytest.raises(ValueError, match="no samples"):
-            resolve_verdict(SampleSet(article_id="A1", outcomes=()))
+    def test_no_samples_unresolved(self):
+        # the verdict of an article with samples, none parsed
+        assert resolve_verdict(SampleSet(article_id="A1", outcomes=())) == \
+            resolve_verdict(parsed_samples("A1", [None]))
 
 
 class TestPercentRounding:

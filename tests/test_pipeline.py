@@ -1,19 +1,20 @@
 """End-to-end pipeline orchestration and manifest reproducibility."""
 
+import ast
 import hashlib
+import importlib
 import json
 import random
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from click.testing import CliRunner
 
-import osir.evaluation
 import osir.pipeline
-import osir.scoring
 from osir.backend import RetryableError
 from osir.cli import main
 from osir.config import PipelineConfig, load_config
@@ -23,7 +24,7 @@ from osir.corpus import (
     build_prompt,
     load_corpus,
 )
-from osir.extraction import RawCompletion, parse_extraction
+from osir.extraction import GoldAnnotation, RawCompletion, parse_extraction
 from osir.jsonl import DIGEST_CHUNK
 from osir.pipeline import (
     PipelineError,
@@ -36,11 +37,42 @@ from conftest import (
     build_replay_bundle,
     completion_row,
     corpus_row,
+    gold_row,
     make_article,
     make_completion,
     make_record,
     write_jsonl,
 )
+
+
+def parse_callers() -> set[tuple[str, str]]:
+    """(module, innermost enclosing function or "<module>") of every
+    reference to parse_extraction in src/osir, outside its definition and
+    the imports."""
+    src = Path(__file__).resolve().parent.parent / "src" / "osir"
+    found = set()
+
+    def visit(node: ast.AST, module: str, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if getattr(node, "id", getattr(node, "attr", None)) == \
+                "parse_extraction":
+            found.add((module, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem,
+              "<module>")
+    return found
+
+
+def test_one_parse_implementation():
+    """parse_stage is the one parse of a run, of osir score and of osir
+    eval; total_reward parses the single completion it is given. No other
+    code in src/osir calls parse_extraction."""
+    assert parse_callers() == {("pipeline", "parse_stage"),
+                               ("scoring", "total_reward")}
 
 
 class CountingBackend:
@@ -268,6 +300,20 @@ class TestRunPipeline:
         assert err.value.stage == "complete"
         assert not (tmp_path / "out" / "verdicts.jsonl").exists()
 
+    def test_blank_evidence_string_is_ungrounded(self, tmp_path):
+        record = make_record(new_data_dois=("10.5/abc", " "))
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", [
+            corpus_row(make_article("a0", "cites 10.5/abc here"))])
+        fixture = write_jsonl(tmp_path / "fixture.jsonl", [
+            completion_row(make_completion("a0", 0, record))])
+        gold = write_jsonl(tmp_path / "gold.jsonl", [
+            gold_row(GoldAnnotation("a0", record))])
+        run_pipeline(corpus, tmp_path / "out",
+                     replay_config(fixture, samples_per_article=1), gold)
+        (row,) = [json.loads(line) for line in
+                  (tmp_path / "out" / "rewards.jsonl").read_text().splitlines()]
+        assert (row["e"], row["v"], row["r"]) == (0.5, 1.0, 0.5)
+
     def test_verdicts_reflect_majority(self, tmp_path):
         paths = build_replay_bundle(tmp_path, n_articles=4)
         out = tmp_path / "out"
@@ -335,8 +381,9 @@ class TestSharedStages:
             calls.append((raw.article_id, raw.sample_index))
             return parse_extraction(raw)
 
-        for module in (osir.pipeline, osir.scoring, osir.evaluation):
-            monkeypatch.setattr(module, "parse_extraction", counting_parse)
+        for module in {module for module, _ in parse_callers()}:
+            monkeypatch.setattr(importlib.import_module(f"osir.{module}"),
+                                "parse_extraction", counting_parse)
         run_pipeline(paths["corpus"], tmp_path / "out",
                      replay_config(paths["fixture"]),
                      gold_path=paths["gold"] if with_gold else None)

@@ -3,11 +3,11 @@
 The other tests check each function against its brute-force oracle, and the
 golden pins check that output bytes do not move; this one checks that what
 a run writes is right. Small bundles (1-4 articles of at most 300
-characters, 1-3 samples each) mix unparsed samples, grounded, near-miss and
-absent evidence and split votes, with gold or without; the parsed content of
-rewards.jsonl, verdicts.jsonl, indicators.csv and summary.json must equal the
-reference's. Content is compared, not bytes, so the reference does not copy
-the writers.
+characters, 1-3 samples each) mix unparsed samples, grounded, near-miss,
+absent and blank evidence and split votes, with gold or without; the parsed
+content of rewards.jsonl, verdicts.jsonl, indicators.csv and summary.json
+must equal the reference's. Content is compared, not bytes, so the
+reference does not copy the writers.
 """
 
 import csv
@@ -57,7 +57,8 @@ def _record(draw, planted: list[tuple[str, str]]) -> dict:
     """A record's fields: random booleans and descriptions, and per planted
     (list, value) the value, a near miss of it, or nothing; at most one
     string in all is a near miss or absent from the body. A URL may carry
-    trailing punctuation that the body does not."""
+    trailing punctuation that the body does not. A list may also hold an
+    empty or whitespace-only string."""
     lists = {name: [] for name in EVIDENCE}
     fuzzy = False
     for name, value in planted:
@@ -72,6 +73,9 @@ def _record(draw, planted: list[tuple[str, str]]) -> dict:
     if not fuzzy and draw(st.booleans()):
         name = draw(st.sampled_from(EVIDENCE))
         lists[name].append(draw(_VALUES[_kind(name)]))  # most likely absent
+    if draw(st.booleans()):
+        lists[draw(st.sampled_from(EVIDENCE))].append(
+            draw(st.sampled_from(("", " ", "\n\t"))))
     return {**{name: draw(st.booleans()) for name in BOOLEANS},
             **{name: tuple(values) for name, values in lists.items()},
             **{name: draw(st.sampled_from((None, "", " ", "new reads")))

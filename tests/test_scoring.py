@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from osir import scoring
 from osir.cli import main
-from osir.extraction import GoldAnnotation, RawCompletion, SCORED_FIELDS
+from osir.extraction import (GoldAnnotation, ParseOutcome, RawCompletion,
+                             SCORED_FIELDS)
 from osir.scoring import (
     RewardBreakdown,
     accuracy_reward,
     field_f1,
     match_sets,
+    outcome_reward,
     total_reward,
 )
 from osir.text import max_edits, similarity
@@ -297,12 +299,6 @@ class TestAccuracyReward:
         v, _ = accuracy_reward(record, GoldAnnotation("A1", record))
         assert v == 1.0
 
-    def test_article_id_mismatch(self):
-        record = make_record()
-        with pytest.raises(ValueError, match="mismatch"):
-            accuracy_reward(record, GoldAnnotation("A1", record),
-                            article_id="A2")
-
     def test_reflexivity_random_records(self):
         rng = random.Random(13)
         for _ in range(50):
@@ -387,6 +383,16 @@ class TestTotalReward:
         raw = RawCompletion("OTHER", 0, completion_text(gold.record))
         with pytest.raises(ValueError, match="OTHER"):
             total_reward(article, raw, gold)
+
+    def test_article_id_mismatch(self):
+        # outcome_reward pairs the article with its gold, parsed or not
+        article, gold = self.budget_fixture()
+        for outcome in (ParseOutcome(status="parsed", record=gold.record),
+                        ParseOutcome(status="format_failure",
+                                     failure_reason="bad")):
+            with pytest.raises(ValueError, match="mismatch.*'A2'.*'A1'"):
+                outcome_reward(make_article("A2", article.body), outcome,
+                               gold)
 
     def test_sub_scores_cover_scored_fields(self):
         article, gold = self.budget_fixture()
