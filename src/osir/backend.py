@@ -254,7 +254,8 @@ def complete_all(backend: ReplayBackend | HttpBackend,
     min(max_in_flight, len(prompts)) workers each pull the next attempt,
     run it, and pull again, so at most max_in_flight attempts run at a time.
     The calling thread is one of the workers and starts the others as
-    threads, so a single worker starts none. A RetryableError makes its
+    threads, so a single worker starts none. A ReplayBackend never waits,
+    so it gets the calling thread alone. A RetryableError makes its
     prompt's next attempt due after a delay, the server's Retry-After if it
     gave one, else backoff_base * 2**(attempt - 1), and its worker pulls
     another attempt meanwhile. Attempts start in one order: every first
@@ -339,8 +340,9 @@ def complete_all(backend: ReplayBackend | HttpBackend,
             except BaseException as exc:  # settled in the next pass
                 batch, failure = None, exc
 
-    threads = [Thread(target=work, daemon=True)
-               for _ in range(min(config.max_in_flight, len(prompts)) - 1)]
+    workers = (1 if isinstance(backend, ReplayBackend)
+               else min(config.max_in_flight, len(prompts)))
+    threads = [Thread(target=work, daemon=True) for _ in range(workers - 1)]
     for thread in threads:
         thread.start()
     try:

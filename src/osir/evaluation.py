@@ -25,7 +25,7 @@ from .extraction import (
     SCORED_FIELDS,
 )
 from .grounding import DEFAULT_THRESHOLDS, Thresholds
-from .jsonl import write_json
+from .jsonl import write_jsonl
 from .scoring import accuracy_reward
 
 PASS1_MODES = ("mean", "first")
@@ -263,4 +263,4 @@ def render_report_table(report: EvalReport) -> str:
 
 
 def save_report(report: EvalReport, path: str | Path) -> str:
-    return write_json(path, asdict(report))
+    return write_jsonl(path, [asdict(report)])

@@ -15,7 +15,7 @@ from typing import Iterable
 from .corpus import Article
 from .evaluation import SampleSet, majority_vote
 from .identifiers import canonicalize_identifier
-from .jsonl import field_dict, write_csv, write_json, write_jsonl
+from .jsonl import field_dict, write_csv, write_jsonl
 
 GROUPINGS = ("discipline", "region", "total")
 TOTAL_LABEL = "Total"
@@ -228,7 +228,7 @@ def save_summary(trace: TraceCoverage, accessions: AccessionStats,
             "values": list(accessions.accessions),
         },
     }
-    return write_json(path, payload)
+    return write_jsonl(path, [payload])
 
 
 def save_verdicts(verdicts: Iterable[ArticleVerdict], path: str | Path) -> str:

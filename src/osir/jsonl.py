@@ -5,9 +5,10 @@ json_object decodes every JSON text from outside osir: a line of a JSON
 Lines file, the config file, a dict setting from the environment and an
 HTTP response body. read_keyed is the one reader of a JSON Lines file, one
 object per line. Writers sort keys and keep non-ASCII text as is, so equal
-rows give equal bytes. Each writer encodes its artifact to UTF-8 once,
-hashes the bytes as it writes them and returns their sha256, so no artifact
-is read back to be hashed.
+rows give equal bytes, and a JSON document is written as a file of one row.
+Each writer encodes its artifact to UTF-8 once, hashes the bytes as it
+writes them and returns their sha256, so no artifact is read back to be
+hashed.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def read_keyed(path: str | Path, error_cls: type[Exception], what: str,
     out, lines = {}, {}
     with open_input(path, error_cls, what) as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
                 key, value = row(json_object(line))
@@ -115,7 +116,7 @@ def check_utf8(name: str, text: str) -> None:
         raise ValueError(f"{name} holds a lone surrogate at index {at}")
 
 
-#: The encoder of every JSON Lines row; json.dumps would build one per row.
+#: The encoder of every row written; json.dumps would build one per row.
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
 
 #: The pieces (rows or lines) _write joins before it encodes, hashes and
@@ -160,10 +161,3 @@ def field_names(cls: type) -> tuple[str, ...]:
 def field_dict(obj) -> dict:
     """A dataclass instance's fields as a dict, without asdict's deep copy."""
     return {name: getattr(obj, name) for name in field_names(type(obj))}
-
-
-def write_json(path: str | Path, payload: dict) -> str:
-    """One indented JSON document with sorted keys and a final newline;
-    returns the sha256 of the file."""
-    return _write(path, (json.dumps(payload, sort_keys=True, indent=2,
-                                    ensure_ascii=False), "\n"))

@@ -48,7 +48,7 @@ from .indicators import (
     save_verdicts,
     trace_coverage,
 )
-from .jsonl import field_dict, file_digest, write_json, write_jsonl
+from .jsonl import field_dict, file_digest, write_jsonl
 from .scoring import outcome_reward
 
 class PipelineError(RuntimeError):
@@ -246,5 +246,5 @@ def run_pipeline(
     emit("aggregate", written)
 
     manifest = manifest_to_payload(corpus_path, gold_path, config, stages)
-    write_json(out / "manifest.json", manifest)
+    write_jsonl(out / "manifest.json", [manifest])
     return manifest

@@ -846,6 +846,17 @@ class TestWorkerThreads:
         assert backend.idents == [threading.get_ident()] * 4
         assert started == []
 
+    def test_replay_starts_no_thread(self, tmp_path, started):
+        path = write_jsonl(tmp_path / "fixture.jsonl", [
+            {"article_id": a, "sample_index": i, "text": f"{a} {i}"}
+            for a in "ABCDEF" for i in range(2)])
+        backend = ReplayBackend(path)
+        prompts = [prompt_for(a) for a in "ABCDEF"]
+        out = complete_all(backend, prompts, 2,
+                           PipelineConfig(max_in_flight=4))
+        assert out == [backend.complete(prompt, 2) for prompt in prompts]
+        assert started == []
+
     def test_interrupt_of_the_calling_thread_is_fatal(self, started):
         # one attempt on each worker: the calling thread's is interrupted
         # while the started thread's is on the wire

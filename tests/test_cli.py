@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from osir.backend import ReplayBackend
 from osir.cli import main
 from osir.config import PipelineConfig
-from osir.jsonl import field_dict
+from osir.jsonl import _ROW_ENCODER, field_dict
 
 from conftest import (
     build_replay_bundle,
@@ -150,6 +150,36 @@ class TestScore:
         ])
         assert result.exit_code == 2, result.output
         assert "--min-reward" in result.output
+        assert not out.exists()
+
+    def score(self, runner, corpus, completions, gold, out):
+        return runner.invoke(main, [
+            "score", "--corpus", str(corpus), "--completions",
+            str(completions), "--gold", str(gold), "--out", str(out)])
+
+    def test_completion_of_unknown_article_exits_1(self, runner, bundle,
+                                                   tmp_path):
+        completions = write_jsonl(tmp_path / "completions.jsonl", [
+            {"article_id": "art-999", "sample_index": 0, "text": "{}"}])
+        out = tmp_path / "rewards.jsonl"
+        result = self.score(runner, bundle["corpus"], completions,
+                            bundle["gold"], out)
+        assert result.exit_code == 1, result.output
+        assert "Error: stage 'score', article 'art-999': unknown article" \
+            in result.output
+        assert not out.exists()
+
+    def test_article_without_gold_exits_1(self, runner, bundle, tmp_path):
+        completions = self.extract_first(runner, bundle, tmp_path)
+        gold = write_jsonl(tmp_path / "gold.jsonl", [
+            row for row in map(json.loads,
+                               bundle["gold"].read_text("utf-8").splitlines())
+            if row["article_id"] != "art-002"])
+        out = tmp_path / "rewards.jsonl"
+        result = self.score(runner, bundle["corpus"], completions, gold, out)
+        assert result.exit_code == 1, result.output
+        assert "Error: stage 'score', article 'art-002': no gold annotation" \
+            in result.output
         assert not out.exists()
 
 
@@ -348,6 +378,27 @@ class TestRun:
         assert result.exit_code == 0, result.output
         assert "6 stages" in result.output
         assert (out_dir / "manifest.json").exists()
+
+    def test_json_documents_are_one_row(self, runner, tmp_path):
+        """manifest.json, summary.json and report.json are each one line of
+        sorted-key JSON with non-ASCII text kept, as a JSON Lines row is."""
+        paths = build_replay_bundle(tmp_path / "données", n_articles=4)
+        out_dir = tmp_path / "run"
+        ran = runner.invoke(main, [
+            "run", "--corpus", str(paths["corpus"]),
+            "--gold", str(paths["gold"]),
+            "--backend", "replay", "--fixture", str(paths["fixture"]),
+            "--out", str(out_dir)])
+        assert ran.exit_code == 0, ran.output
+        evaluated = runner.invoke(main, [
+            "eval", "--completions", str(out_dir / "completions.jsonl"),
+            "--gold", str(paths["gold"]),
+            "--out", str(out_dir / "report.json")])
+        assert evaluated.exit_code == 0, evaluated.output
+        for name in ("manifest.json", "summary.json", "report.json"):
+            text = (out_dir / name).read_text("utf-8")
+            assert text == _ROW_ENCODER.encode(json.loads(text)) + "\n"
+        assert "données" in (out_dir / "manifest.json").read_text("utf-8")
 
     @pytest.mark.parametrize("with_gold", [True, False])
     def test_stdout_lists_every_output_in_manifest_order(self, runner, bundle,

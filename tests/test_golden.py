@@ -49,7 +49,7 @@ PINS = {
         "indicators.csv":
             "b15e763630961c832152d140b193a3a1599a15309323efe58a774326d478babd",
         "manifest.json":
-            "b94818665c7931ac98fa745fb621bb7053349b7c9259d301140403378f8a41e7",
+            "8806c821f46229010d5f6aa36e7c4faac4381349eec0f5974d4f2d97232761c6",
         "prompts.jsonl":
             "c77db881b4bd51fcbbb7f5afe078bd753b36c639e73a24b8b5f4c82439d17a01",
         "records.jsonl":
@@ -57,7 +57,7 @@ PINS = {
         "rewards.jsonl":
             "d2b37a40cfbe9e37c637dbfb1ef18f8b315ca94530d2128130a55191de5a3d0d",
         "summary.json":
-            "47016e217304105689ebd55aec443ce4fbf43501a5b60644901f7bbd2bed3bfc",
+            "335e47856a903e6ffe62c2500401c048ecc34d65392bef7503482010427ea95e",
         "verdicts.jsonl":
             "b3fefda573d129a85714980a4aaeff66f573451dc5179fe009a9bafb8242c54a",
     },
@@ -67,17 +67,17 @@ PINS = {
         "indicators.csv":
             "b15e763630961c832152d140b193a3a1599a15309323efe58a774326d478babd",
         "manifest.json":
-            "b94818665c7931ac98fa745fb621bb7053349b7c9259d301140403378f8a41e7",
+            "8806c821f46229010d5f6aa36e7c4faac4381349eec0f5974d4f2d97232761c6",
         "prompts.jsonl":
             "c77db881b4bd51fcbbb7f5afe078bd753b36c639e73a24b8b5f4c82439d17a01",
         "records.jsonl":
             "1795e60ce17710d57edf77c866b6b1ae1469d6fe604ff35acb935366d46724a6",
         "report.json":
-            "5afae4115ba14c031726bfe8c1b28c323dc48befd61c0f03ce8f9bfbb907e885",
+            "271fddcdb43a89506dc76921f5a2502298e87761fc1062abebdf28263430a0da",
         "rewards.jsonl":
             "d2b37a40cfbe9e37c637dbfb1ef18f8b315ca94530d2128130a55191de5a3d0d",
         "summary.json":
-            "47016e217304105689ebd55aec443ce4fbf43501a5b60644901f7bbd2bed3bfc",
+            "335e47856a903e6ffe62c2500401c048ecc34d65392bef7503482010427ea95e",
         "verdicts.jsonl":
             "b3fefda573d129a85714980a4aaeff66f573451dc5179fe009a9bafb8242c54a",
     },
@@ -87,13 +87,13 @@ PINS = {
         "indicators.csv":
             "3a54f1d63aa3dc68bd2f3376b91c270de8dd2457ac147419bdddcc41412dac46",
         "manifest.json":
-            "58ad6106113431b6d1052373d4c99052ac515f5da807d4bca064257fc20cd5cc",
+            "b0b3debff288e0f035ab6099419728dd65426f0eb080894d114964b6296662bc",
         "prompts.jsonl":
             "a5fbb99d7513ac038fbf72add24148b070911f3ecd3f71b8dc72e5c8242d9cf2",
         "records.jsonl":
             "015a8990ade0523d0171156583a7d2eefa4a3ad3d628e2b5543fca12d5e10dea",
         "summary.json":
-            "8bf749ab8da8132415587176804105063f764167b0bda2420e2b1cd70ca50036",
+            "e9a9b538bd66faf73a8bd4faf9e6086c777f0cdd144355d1c455a739f9966d2a",
         "verdicts.jsonl":
             "04836561cbc80d9a61bcf7fd7a9c2e2649376239127798f5f3de0804bccaf16d",
     },

@@ -217,6 +217,18 @@ class TestAggregateBy:
         with pytest.raises(ValueError, match="grouping"):
             aggregate_by([], "journal")
 
+    def test_grouping_without_articles(self):
+        with pytest.raises(ValueError, match="grouping by 'region' requires "
+                                             "the article metadata"):
+            aggregate_by([verdict("A1")], "region")
+
+    def test_verdict_of_unknown_article(self):
+        articles = {"A1": make_article("A1", "x", discipline="Life Sciences")}
+        with pytest.raises(ValueError, match="verdict references unknown "
+                                             "article 'A2'"):
+            aggregate_by([verdict("A1"), verdict("A2")], "discipline",
+                         articles)
+
     def test_region_grouping(self):
         verdicts = [verdict("A1", generated=True), verdict("A2", reused=True)]
         articles = {

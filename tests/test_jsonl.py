@@ -34,7 +34,6 @@ from osir.jsonl import (
     WRITE_BATCH,
     read_keyed,
     write_csv,
-    write_json,
     write_jsonl,
 )
 
@@ -171,8 +170,6 @@ def test_csv_writer_quotes_and_ends_lines_with_newline(tmp_path):
 _WRITES = {
     "jsonl": lambda path, value: write_jsonl(
         path, [{"i": i, "s": value} for i in range(3 * WRITE_BATCH + 1)]),
-    "json": lambda path, value: write_json(
-        path, {"rows": [value] * (3 * WRITE_BATCH + 1)}),
     "csv": lambda path, value: write_csv(
         path, ("i", "s"), [(i, value) for i in range(3 * WRITE_BATCH + 1)]),
 }
@@ -189,7 +186,6 @@ class TestWritersHashWhatTheyWrite:
     def test_empty_or_short_file(self, tmp_path, kind):
         path = tmp_path / f"x.{kind}"
         writes = {"jsonl": lambda: write_jsonl(path, []),
-                  "json": lambda: write_json(path, {}),
                   "csv": lambda: write_csv(path, (), [])}
         digest = writes[kind]()
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
